@@ -45,7 +45,7 @@ import argparse
 import signal
 import sys
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,12 +59,12 @@ from repro.core.montecarlo import (
     KERNELS,
     POOLS,
     TRANSPORTS,
-    MonteCarloConfig,
     has_compiled_face,
     reap_stale_segments,
     resolve_kernel,
     run_monte_carlo,
 )
+from repro.core.montecarlo.config import config_from_options
 from repro.core.parameters import paper_parameters
 from repro.core.policies import (
     MONTHLY_CHECK_HOURS,
@@ -100,8 +100,85 @@ def _seed_argument(text: str) -> Optional[int]:
     return value
 
 
-def _add_fault_tolerance_flags(parser: argparse.ArgumentParser) -> None:
-    """Add the sharded executor's fault-tolerance flags (``mc`` and ``sweep``)."""
+def _add_monte_carlo_flags(parser: argparse.ArgumentParser) -> None:
+    """Add the Monte Carlo flags ``mc`` and ``sweep`` share.
+
+    Each flag maps to one :class:`MonteCarloConfig` field through
+    :func:`_mc_options`.
+    """
+    parser.add_argument(
+        "--iterations",
+        type=int,
+        default=20_000,
+        help="simulated lifetimes per point (with --target-half-width: size "
+        "of the first round)",
+    )
+    parser.add_argument(
+        "--horizon-years", type=float, default=10.0, help="mission time per lifetime"
+    )
+    parser.add_argument(
+        "--confidence", type=float, default=0.99, help="confidence level of the interval"
+    )
+    parser.add_argument(
+        "--seed",
+        type=_seed_argument,
+        default=0,
+        help="master seed (an integer, or 'random' for fresh entropy; the "
+        "resolved entropy is printed so any run can be replayed)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes for the sharded executor (1 = single process)",
+    )
+    parser.add_argument(
+        "--target-half-width",
+        type=float,
+        default=None,
+        help="adaptive stopping: keep adding shard rounds until the "
+        "confidence interval half-width reaches this value",
+    )
+    parser.add_argument(
+        "--biasing",
+        type=float,
+        default=None,
+        help="failure-biasing factor of the importance-sampled kernels "
+        "(> 1 inflates failure rates; estimates stay unbiased via "
+        "per-lifetime likelihood-ratio weights)",
+    )
+    parser.add_argument(
+        "--allocator",
+        choices=list(ALLOCATORS),
+        default="uniform",
+        help="adaptive-round budget allocator of stacked grids: uniform, or "
+        "ci_width (widest intervals get the next round's lifetimes)",
+    )
+    parser.add_argument(
+        "--transport",
+        choices=list(TRANSPORTS),
+        default="auto",
+        help="stacked-grid parameter transport: auto (zero-copy shared "
+        "memory when usable), shm, or pickle (per-shard rebuild; the "
+        "bit-identity oracle)",
+    )
+    parser.add_argument(
+        "--kernel",
+        choices=list(KERNELS),
+        default="auto",
+        help="batch-kernel backend: auto (compiled numba scans when "
+        "installed, numpy otherwise), numpy (the bit-identity oracle), "
+        "compiled (demand numba), or fused (whole-event-loop nopython "
+        "kernels; statistically pinned, fastest)",
+    )
+    parser.add_argument(
+        "--pool",
+        choices=list(POOLS),
+        default="process",
+        help="shard-executor pool for --workers > 1: process, thread "
+        "(in-process, shares stacked grid planes outright), or serial "
+        "(the pool oracle: same shard plan, run sequentially)",
+    )
     parser.add_argument(
         "--shard-timeout",
         type=float,
@@ -136,6 +213,48 @@ def _add_fault_tolerance_flags(parser: argparse.ArgumentParser) -> None:
         help="resume from the journal at PATH: already completed shards are "
         "spliced back in (and new completions keep appending); the resumed "
         "run is bit-identical to an uninterrupted one",
+    )
+
+
+def _mc_options(args: argparse.Namespace) -> Dict[str, object]:
+    """Map the shared Monte Carlo flags to entry-point options.
+
+    The result feeds :func:`config_from_options` and the sweep front
+    doors alike, so the pool kind keeps its entry-point spelling
+    ``pool_kind`` (a front door's ``pool`` is the shared executor).
+    """
+    # ``mc`` spells the adaptive ceiling --max-iterations or --budget,
+    # ``sweep`` only --budget.
+    max_iterations = getattr(args, "max_iterations", None)
+    if args.budget is not None:
+        if max_iterations is not None:
+            raise ConfigurationError(
+                "--budget is an alias of --max-iterations; pass only one"
+            )
+        max_iterations = args.budget
+    if max_iterations is not None and args.target_half_width is None:
+        raise ConfigurationError(
+            "--max-iterations/--budget cap an adaptive run and do nothing "
+            "without --target-half-width"
+        )
+    return dict(
+        n_iterations=args.iterations,
+        horizon_hours=args.horizon_years * 8760.0,
+        confidence=args.confidence,
+        seed=args.seed,
+        workers=args.workers,
+        target_half_width=args.target_half_width,
+        max_iterations=max_iterations,
+        biasing=args.biasing,
+        allocator=args.allocator,
+        transport=args.transport,
+        kernel=args.kernel,
+        pool_kind=args.pool,
+        shard_timeout=args.shard_timeout,
+        max_shard_retries=args.max_shard_retries,
+        retry_backoff=args.retry_backoff,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
     )
 
 
@@ -202,32 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--raid", default="RAID5(3+1)", help="RAID label, e.g. RAID5(7+1)")
     mc.add_argument("--failure-rate", type=float, default=1e-6, help="disk failure rate per hour")
     mc.add_argument("--hep", type=float, default=0.001, help="human error probability")
-    mc.add_argument(
-        "--iterations",
-        type=int,
-        default=20_000,
-        help="simulated lifetimes (with --target-half-width: size of the first round)",
-    )
-    mc.add_argument("--horizon-years", type=float, default=10.0, help="mission time per lifetime")
-    mc.add_argument("--confidence", type=float, default=0.99, help="confidence level of the interval")
-    mc.add_argument(
-        "--seed",
-        type=_seed_argument,
-        default=0,
-        help="master seed (an integer, or 'random' for fresh entropy; the "
-        "resolved entropy is printed so any run can be replayed)",
-    )
+    _add_monte_carlo_flags(mc)
     mc.add_argument(
         "--executor",
         choices=list(EXECUTORS),
         default="auto",
         help="batch (vectorised), scalar (traced/debug path), or auto",
-    )
-    mc.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the sharded executor (1 = single process)",
     )
     mc.add_argument(
         "--shard-size",
@@ -236,13 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lifetimes per shard; pinning it makes results bit-identical "
         "across --workers values (default: one shard per worker, capped "
         "at 50000 lifetimes per shard)",
-    )
-    mc.add_argument(
-        "--target-half-width",
-        type=float,
-        default=None,
-        help="adaptive stopping: keep adding shard rounds until the "
-        "confidence interval half-width reaches this value",
     )
     mc.add_argument(
         "--max-iterations",
@@ -257,47 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="alias of --max-iterations: total lifetime budget of an "
         "adaptive run",
     )
-    mc.add_argument(
-        "--biasing",
-        type=float,
-        default=None,
-        help="failure-biasing factor of the importance-sampled kernels "
-        "(> 1 inflates failure rates; estimates stay unbiased via "
-        "per-lifetime likelihood-ratio weights)",
-    )
-    mc.add_argument(
-        "--allocator",
-        choices=list(ALLOCATORS),
-        default="uniform",
-        help="adaptive-round budget allocator of stacked grids: uniform, or "
-        "ci_width (widest intervals get the next round's lifetimes)",
-    )
-    mc.add_argument(
-        "--transport",
-        choices=list(TRANSPORTS),
-        default="auto",
-        help="stacked-grid parameter transport: auto (zero-copy shared "
-        "memory when usable), shm, or pickle (per-shard rebuild; the "
-        "bit-identity oracle)",
-    )
-    mc.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="auto",
-        help="batch-kernel backend: auto (compiled numba scans when "
-        "installed, numpy otherwise), numpy (the bit-identity oracle), "
-        "compiled (demand numba), or fused (whole-event-loop nopython "
-        "kernels; statistically pinned, fastest)",
-    )
-    mc.add_argument(
-        "--pool",
-        choices=list(POOLS),
-        default="process",
-        help="shard-executor pool for --workers > 1: process, thread "
-        "(in-process, shares stacked grid planes outright), or serial "
-        "(the pool oracle: same shard plan, run sequentially)",
-    )
-    _add_fault_tolerance_flags(mc)
     mc.add_argument(
         "--reap-shm",
         action="store_true",
@@ -384,23 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--hep", type=float, default=0.001,
         help="human error probability (fixed unless it is the swept axis)",
     )
-    sweep_parser.add_argument(
-        "--iterations", type=int, default=20_000,
-        help="simulated lifetimes per point (monte_carlo backend)",
-    )
-    sweep_parser.add_argument(
-        "--horizon-years", type=float, default=10.0,
-        help="mission time per lifetime (monte_carlo backend)",
-    )
-    sweep_parser.add_argument(
-        "--confidence", type=float, default=0.99,
-        help="confidence level of per-point intervals (monte_carlo backend)",
-    )
-    sweep_parser.add_argument("--seed", type=_seed_argument, default=0, help="master seed")
-    sweep_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes shared across all Monte Carlo points",
-    )
+    _add_monte_carlo_flags(sweep_parser)
     sweep_parser.add_argument(
         "--mc-engine",
         choices=list(MC_ENGINES),
@@ -416,59 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
         "base streams (stacked engine; variance-reduced contrasts)",
     )
     sweep_parser.add_argument(
-        "--target-half-width",
-        type=float,
-        default=None,
-        help="adaptive sweep: keep dispatching shard rounds until every "
-        "point's interval half-width reaches this value",
-    )
-    sweep_parser.add_argument(
         "--budget",
         type=int,
         default=None,
         help="per-point lifetime ceiling of an adaptive sweep (default: 1e6)",
     )
-    sweep_parser.add_argument(
-        "--biasing",
-        type=float,
-        default=None,
-        help="failure-biasing factor of the importance-sampled kernels "
-        "(rare-event sweeps; estimates stay unbiased via likelihood-ratio "
-        "weights)",
-    )
-    sweep_parser.add_argument(
-        "--allocator",
-        choices=list(ALLOCATORS),
-        default="uniform",
-        help="adaptive-round budget allocator: uniform, or ci_width "
-        "(widest intervals get the next round's lifetimes)",
-    )
-    sweep_parser.add_argument(
-        "--transport",
-        choices=list(TRANSPORTS),
-        default="auto",
-        help="stacked-grid parameter transport: auto (zero-copy shared "
-        "memory when usable), shm, or pickle (per-shard rebuild; the "
-        "bit-identity oracle)",
-    )
-    sweep_parser.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="auto",
-        help="batch-kernel backend: auto (compiled numba scans when "
-        "installed, numpy otherwise), numpy (the bit-identity oracle), "
-        "compiled (demand numba), or fused (whole-event-loop nopython "
-        "kernels; statistically pinned, fastest)",
-    )
-    sweep_parser.add_argument(
-        "--pool",
-        choices=list(POOLS),
-        default="process",
-        help="shard-executor pool for --workers > 1: process, thread "
-        "(in-process, shares stacked grid planes outright), or serial "
-        "(the pool oracle: same shard plan, run sequentially)",
-    )
-    _add_fault_tolerance_flags(sweep_parser)
 
     crossval = subparsers.add_parser(
         "crossval",
@@ -616,16 +603,6 @@ def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
             "--scheme builds its own erasure policy and geometry; it is "
             "mutually exclusive with --policy and --spares"
         )
-    if args.budget is not None and args.max_iterations is not None:
-        raise ConfigurationError(
-            "--budget is an alias of --max-iterations; pass only one"
-        )
-    max_iterations = args.max_iterations if args.budget is None else args.budget
-    if max_iterations is not None and args.target_half_width is None:
-        raise ConfigurationError(
-            "--max-iterations/--budget cap an adaptive run and do nothing "
-            "without --target-half-width"
-        )
     if args.scheme is not None:
         policy, geometry = _scheme_policy(args)
     elif args.spares is not None:
@@ -639,39 +616,23 @@ def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
         disk_failure_rate=args.failure_rate,
         hep=args.hep,
     )
-    config = MonteCarloConfig(
+    config = config_from_options(
         params=params,
         policy=policy,
-        horizon_hours=args.horizon_years * 8760.0,
-        n_iterations=args.iterations,
-        confidence=args.confidence,
-        seed=args.seed,
         executor=args.executor,
-        workers=args.workers,
         shard_size=args.shard_size,
-        target_half_width=args.target_half_width,
-        max_iterations=max_iterations,
-        transport=args.transport,
-        biasing=args.biasing,
-        allocator=args.allocator,
-        kernel=args.kernel,
-        pool=args.pool,
-        shard_timeout=args.shard_timeout,
-        max_shard_retries=args.max_shard_retries,
-        retry_backoff=args.retry_backoff,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
+        **_mc_options(args),
     )
     result = run_monte_carlo(config)
     totals = result.totals
-    executor_label = args.executor
+    executor_label = config.executor
     if config.uses_sharded_path:
-        pool_note = f", {args.pool} pool" if args.workers > 1 else ""
+        workers = config.workers
+        pool_note = f", {config.pool} pool" if workers > 1 else ""
         executor_label += (
-            f" (sharded, {args.workers} worker{'s' if args.workers != 1 else ''}"
-            f"{pool_note})"
+            f" (sharded, {workers} worker{'s' if workers != 1 else ''}{pool_note})"
         )
-    executor_label += f", kernel={resolve_kernel(args.kernel)}"
+    executor_label += f", kernel={resolve_kernel(config.kernel)}"
     scheme_lines = []
     if policy.has_periodic_checks:
         resolved = policy.scheme.resolve(params)
@@ -818,33 +779,12 @@ def _run_sweep(args: argparse.Namespace) -> Tuple[str, int]:
         disk_failure_rate=args.failure_rate,
         hep=args.hep,
     )
-    if args.budget is not None and args.target_half_width is None:
-        raise ConfigurationError(
-            "--budget caps an adaptive sweep and does nothing without "
-            "--target-half-width"
-        )
     options = dict(
+        _mc_options(args),
         policy=policy,
         backend=args.backend,
-        mc_iterations=args.iterations,
-        mc_horizon_hours=args.horizon_years * 8760.0,
-        seed=args.seed,
-        confidence=args.confidence,
-        workers=args.workers,
-        target_half_width=args.target_half_width,
-        mc_max_iterations=args.budget,
         mc_engine=args.mc_engine,
         crn=args.crn,
-        transport=args.transport,
-        biasing=args.biasing,
-        allocator=args.allocator,
-        kernel=args.kernel,
-        pool_kind=args.pool,
-        shard_timeout=args.shard_timeout,
-        max_shard_retries=args.max_shard_retries,
-        retry_backoff=args.retry_backoff,
-        checkpoint=args.checkpoint,
-        resume=args.resume,
     )
     policy_label = policy if isinstance(policy, str) else policy.name
     if args.axis2 is not None:

@@ -29,18 +29,19 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.montecarlo.config import (
-    DEFAULT_HORIZON_HOURS,
-    DEFAULT_ITERATIONS,
     MonteCarloConfig,
     PolicyRef,
+    config_from_options,
 )
 from repro.core.montecarlo.compiled import resolve_kernel
 from repro.core.montecarlo.results import MonteCarloResult
 from repro.core.montecarlo.batch import run_stacked
+from repro.core.montecarlo.parallel import worker_pool
 from repro.core.montecarlo.runner import _use_batch_path, run_monte_carlo
 from repro.core.parameters import AvailabilityParameters
 from repro.core.policies.base import SimulationPolicy
@@ -476,32 +477,145 @@ def _attach_analytical_reference(
     result.analytical_reference = availability
 
 
+def resolve_backend(
+    backend: str, policy: PolicyRef
+) -> Tuple[str, SimulationPolicy]:
+    """Validate ``backend``, resolve ``policy``, and resolve ``"auto"``.
+
+    ``"auto"`` becomes ``"analytical"`` when the policy has a chain face
+    and ``"monte_carlo"`` otherwise.
+    """
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"backend must be one of {BACKENDS}, got {backend!r}"
+        )
+    resolved = resolve_policy(policy)
+    if backend == "auto":
+        backend = "analytical" if resolved.has_analytical_model else "monte_carlo"
+    return backend, resolved
+
+
+def check_mc_options_for_backend(
+    backend: str, config: MonteCarloConfig, *, mc_engine: str = "auto", crn: bool = False
+) -> None:
+    """Reject Monte Carlo-only options once a call resolved analytically.
+
+    ``backend="auto"`` picks the analytical face whenever the policy has
+    one; an explicit ``crn``, ``mc_engine``, ``biasing`` or journal request
+    must not be dropped silently on that path (a caller asking for coupled
+    streams, importance sampling or a resumable run would get plain point
+    estimates without noticing).  Options that only size a run
+    (``workers``, ``n_iterations``, ...) stay accepted.
+    """
+    if backend == "monte_carlo":
+        return
+    refused = (
+        (crn, "common random numbers"),
+        (mc_engine != "auto", f"mc_engine={mc_engine!r}"),
+        (config.biasing is not None, "failure biasing"),
+        (config.journal_path is not None, "a checkpoint/resume journal"),
+    )
+    for requested, option in refused:
+        if requested:
+            raise ConfigurationError(
+                f"{option} applies to the monte_carlo backend, but this call "
+                "resolved to the analytical backend; pass backend='monte_carlo'"
+            )
+
+
+def shared_pool(config: MonteCarloConfig, pool=None):
+    """Return a context yielding ``pool``, or one new pool for ``config``.
+
+    Loops that run many studies start one pool here instead of one per
+    study; an externally owned ``pool`` is passed through untouched.
+    """
+    return nullcontext(pool) if pool is not None else worker_pool(config.workers, config.pool)
+
+
+def evaluate_config(config: MonteCarloConfig, pool=None) -> AvailabilityEstimate:
+    """Run one Monte Carlo study of ``config`` and return it as an estimate.
+
+    A set ``biasing`` runs the importance-sampled kernels and, for
+    dual-face policies, attaches the analytical availability as
+    ``analytical_reference``.
+    """
+    policy = resolve_policy(config.policy)
+    result = run_monte_carlo(config, pool=pool)
+    if config.biasing is not None:
+        _attach_analytical_reference(result, policy, config.params)
+    return _estimate_from_mc(result, policy.name, _executor_provenance(config))
+
+
+def per_point_estimates(
+    points: Sequence[AvailabilityParameters], config: MonteCarloConfig, pool=None
+) -> List[AvailabilityEstimate]:
+    """Run one full study per point, all sharing one worker pool.
+
+    An interrupted study (the sharded executor absorbed a Ctrl-C/SIGTERM
+    into a partial estimate) ends the loop: the remaining points are not
+    started after the user asked to stop.
+    """
+    estimates: List[AvailabilityEstimate] = []
+    with shared_pool(config, pool) as loop_pool:
+        for params in points:
+            estimate = evaluate_config(replace(config, params=params), loop_pool)
+            estimates.append(estimate)
+            if estimate.interrupted:
+                break
+    return estimates
+
+
+def stacked_estimates(
+    points: Sequence[AvailabilityParameters],
+    config: MonteCarloConfig,
+    *,
+    crn: bool = False,
+    pool=None,
+) -> List[AvailabilityEstimate]:
+    """Run ``points`` as one stacked grid of ``config``.
+
+    Policies without a stacked-capable kernel fall back to
+    :func:`per_point_estimates`, which cannot honour ``crn`` or a journal.
+    """
+    policy = resolve_policy(config.policy)
+    if not policy.can_stack:
+        if crn:
+            raise ConfigurationError(
+                f"policy {policy.name!r} has no stacked-capable kernel; "
+                "common random numbers cannot be honoured on the per-point "
+                "fallback"
+            )
+        if config.journal_path is not None:
+            raise ConfigurationError(
+                f"policy {policy.name!r} has no stacked-capable kernel; "
+                "a shard journal spans one stacked grid and cannot cover "
+                "the per-point fallback"
+            )
+        return per_point_estimates(points, config, pool)
+    workers = int(config.workers)
+    pool_note = f", {config.pool} pool" if workers > 1 else ""
+    provenance = (
+        f"executor=stacked({workers} worker{'s' if workers != 1 else ''}"
+        f"{pool_note}{', crn' if crn else ''}) kernel={resolve_kernel(config.kernel)}"
+    )
+    results = run_stacked(
+        [replace(config, params=params) for params in points], crn=crn, pool=pool
+    )
+    if config.biasing is not None:
+        for result, params in zip(results, points):
+            _attach_analytical_reference(result, policy, params)
+    return [_estimate_from_mc(result, policy.name, provenance) for result in results]
+
+
 def evaluate(
     params: AvailabilityParameters,
     policy: PolicyRef = "conventional",
     backend: str = "auto",
     *,
     method: str = "auto",
-    n_iterations: int = DEFAULT_ITERATIONS,
-    horizon_hours: float = DEFAULT_HORIZON_HOURS,
     seed: Optional[int] = 0,
-    confidence: float = 0.99,
-    executor: str = "auto",
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    target_half_width: Optional[float] = None,
-    max_iterations: Optional[int] = None,
-    transport: str = "auto",
-    biasing: Optional[float] = None,
-    allocator: str = "uniform",
-    kernel: str = "auto",
-    pool_kind: str = "process",
     pool=None,
-    shard_timeout: Optional[float] = None,
-    max_shard_retries: int = 0,
-    retry_backoff: float = 0.1,
-    checkpoint: Optional[str] = None,
-    resume: Optional[str] = None,
+    **options,
 ) -> AvailabilityEstimate:
     """Evaluate a (parameters, policy) pair on the requested backend.
 
@@ -518,94 +632,35 @@ def evaluate(
     method:
         Steady-state solver for the analytical backend (``"auto"`` selects
         dense/sparse by state count).
-    n_iterations, horizon_hours, seed, confidence, executor, workers,
-    shard_size, target_half_width, max_iterations, biasing, allocator,
-    kernel:
-        Monte Carlo configuration, matching
-        :class:`~repro.core.montecarlo.config.MonteCarloConfig`.  A set
-        ``biasing`` runs the importance-sampled kernels and, for dual-face
-        policies, attaches the analytical availability as
-        ``analytical_reference``.
-    pool_kind:
-        Which executor the sharded path fans shards out over
-        (``MonteCarloConfig.pool``): ``"process"``, ``"thread"`` or
-        ``"serial"``.  Named ``pool_kind`` here because ``pool`` is the
-        long-standing shared-executor argument below.
+    seed:
+        Master seed of the Monte Carlo run (``0`` here, unlike the config).
     pool:
         Optional externally owned worker pool shared across sharded runs
         (see :func:`repro.core.montecarlo.parallel.worker_pool`).
-    shard_timeout, max_shard_retries, retry_backoff:
-        Fault tolerance of the sharded executor: timed-out, crashed or
-        worker-lost shards are resubmitted (bit-identically) up to
-        ``max_shard_retries`` times.  See
-        :class:`~repro.core.montecarlo.config.MonteCarloConfig`.
-    checkpoint, resume:
-        Durable shard-journal path: completed shards are recorded as they
-        finish and skipped on restart (``resume`` requires the journal to
-        exist).  Sharded Monte Carlo runs only.
+    **options:
+        Monte Carlo options: any
+        :class:`~repro.core.montecarlo.config.MonteCarloConfig` field
+        (``n_iterations``, ``workers``, ``biasing``, ...) or entry-point
+        spelling (``pool_kind``; see ``OPTION_ALIASES``).  They are
+        validated whatever the backend; the Monte Carlo-only ones are
+        refused on an analytical evaluation.
     """
-    if backend not in BACKENDS:
-        raise ConfigurationError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
-    resolved = resolve_policy(policy)
-    if backend == "auto":
-        backend = "analytical" if resolved.has_analytical_model else "monte_carlo"
+    backend, resolved = resolve_backend(backend, policy)
+    config = config_from_options(params=params, policy=resolved, seed=seed, **options)
+    check_mc_options_for_backend(backend, config)
     if backend == "analytical":
         return _evaluate_analytical(params, resolved, method)
-    config = MonteCarloConfig(
-        params=params,
-        policy=resolved,
-        horizon_hours=horizon_hours,
-        n_iterations=n_iterations,
-        confidence=confidence,
-        seed=seed,
-        executor=executor,
-        workers=workers,
-        shard_size=shard_size,
-        target_half_width=target_half_width,
-        max_iterations=max_iterations,
-        transport=transport,
-        biasing=biasing,
-        allocator=allocator,
-        kernel=kernel,
-        pool=pool_kind,
-        shard_timeout=shard_timeout,
-        max_shard_retries=max_shard_retries,
-        retry_backoff=retry_backoff,
-        checkpoint=checkpoint,
-        resume=resume,
-    )
-    result = run_monte_carlo(config, pool=pool)
-    if biasing is not None:
-        _attach_analytical_reference(result, resolved, params)
-    return _estimate_from_mc(result, resolved.name, _executor_provenance(config))
+    return evaluate_config(config, pool=pool)
 
 
 def evaluate_stacked(
     points: Sequence[AvailabilityParameters],
     policy: PolicyRef = "conventional",
     *,
-    n_iterations: int = DEFAULT_ITERATIONS,
-    horizon_hours: float = DEFAULT_HORIZON_HOURS,
     seed: Optional[int] = 0,
-    confidence: float = 0.99,
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    target_half_width: Optional[float] = None,
-    max_iterations: Optional[int] = None,
     crn: bool = False,
-    transport: str = "auto",
-    biasing: Optional[float] = None,
-    allocator: str = "uniform",
-    kernel: str = "auto",
-    pool_kind: str = "process",
     pool=None,
-    shard_timeout: Optional[float] = None,
-    max_shard_retries: int = 0,
-    retry_backoff: float = 0.1,
-    checkpoint: Optional[str] = None,
-    resume: Optional[str] = None,
+    **options,
 ) -> List[AvailabilityEstimate]:
     """Monte Carlo evaluate many parameter points as one stacked grid.
 
@@ -613,95 +668,15 @@ def evaluate_stacked(
     stacked batch kernel (one kernel invocation per shard of the flattened
     axis) instead of one full study per point — the Monte Carlo counterpart
     of the analytical backend's batched ``solve_many``.  Policies without a
-    stacked-capable kernel fall back to one
-    :func:`evaluate` call per point (sharing ``pool``), so the function
-    works for every registered policy.
+    stacked-capable kernel fall back to one study per point (sharing one
+    pool), so the function works for every registered policy.
 
     ``crn=True`` makes every point consume identical base streams (common
     random numbers) for variance-reduced contrasts between neighbouring
-    points; see :func:`repro.core.montecarlo.batch.run_stacked`.
-
-    ``target_half_width`` turns the grid adaptive: shard rounds keep being
-    dispatched — split across points by ``allocator`` — until every point's
-    interval meets the target (or its ceiling).  ``biasing`` runs the grid
-    on the importance-sampled kernels; dual-face policies additionally get
-    the analytical availability attached to every estimate.
+    points; see :func:`repro.core.montecarlo.batch.run_stacked`.  ``seed``,
+    ``pool`` and ``**options`` are as in :func:`evaluate`; a set
+    ``target_half_width`` turns the grid adaptive, its rounds split across
+    points by ``allocator``.
     """
-    resolved = resolve_policy(policy)
-    if not resolved.can_stack:
-        if crn:
-            raise ConfigurationError(
-                f"policy {resolved.name!r} has no stacked-capable kernel; "
-                "common random numbers cannot be honoured on the per-point "
-                "fallback"
-            )
-        if checkpoint is not None or resume is not None:
-            raise ConfigurationError(
-                f"policy {resolved.name!r} has no stacked-capable kernel; "
-                "a shard journal spans one stacked grid and cannot cover "
-                "the per-point fallback"
-            )
-        return [
-            evaluate(
-                params,
-                policy=resolved,
-                backend="monte_carlo",
-                n_iterations=n_iterations,
-                horizon_hours=horizon_hours,
-                seed=seed,
-                confidence=confidence,
-                workers=workers,
-                shard_size=shard_size,
-                target_half_width=target_half_width,
-                max_iterations=max_iterations,
-                transport=transport,
-                biasing=biasing,
-                allocator=allocator,
-                kernel=kernel,
-                pool_kind=pool_kind,
-                pool=pool,
-                shard_timeout=shard_timeout,
-                max_shard_retries=max_shard_retries,
-                retry_backoff=retry_backoff,
-            )
-            for params in points
-        ]
-    configs = [
-        MonteCarloConfig(
-            params=params,
-            policy=resolved,
-            horizon_hours=horizon_hours,
-            n_iterations=n_iterations,
-            confidence=confidence,
-            seed=seed,
-            workers=workers,
-            shard_size=shard_size,
-            target_half_width=target_half_width,
-            max_iterations=max_iterations,
-            transport=transport,
-            biasing=biasing,
-            allocator=allocator,
-            kernel=kernel,
-            pool=pool_kind,
-            shard_timeout=shard_timeout,
-            max_shard_retries=max_shard_retries,
-            retry_backoff=retry_backoff,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
-        for params in points
-    ]
-    workers = int(workers)
-    pool_note = f", {pool_kind} pool" if workers > 1 else ""
-    provenance = (
-        f"executor=stacked({workers} worker{'s' if workers != 1 else ''}"
-        f"{pool_note}{', crn' if crn else ''}) kernel={resolve_kernel(kernel)}"
-    )
-    results = run_stacked(configs, crn=crn, pool=pool)
-    if biasing is not None:
-        for result, params in zip(results, points):
-            _attach_analytical_reference(result, resolved, params)
-    return [
-        _estimate_from_mc(result, resolved.name, provenance)
-        for result in results
-    ]
+    config = config_from_options(policy=resolve_policy(policy), seed=seed, **options)
+    return stacked_estimates(points, config, crn=crn, pool=pool)

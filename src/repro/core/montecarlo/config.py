@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Dict, Optional, Tuple, Union
 
 from repro.core.parameters import AvailabilityParameters
 from repro.core.policies.base import SimulationPolicy
@@ -60,10 +60,50 @@ PolicyRef = Union[str, PolicyKind, SimulationPolicy]
 #: Sentinel distinguishing "argument not passed" from an explicit ``None``.
 _UNSET = object()
 
+#: Role tags of the config fields (``dataclasses.field`` metadata ``"role"``).
+#: Each field carries exactly one; the hand-written lists that used to
+#: enumerate fields are derived from (or tested against) these tags.
+#:
+#: * ``per_point`` — may differ between the points of one stacked grid
+#:   (parameters, lifetime count, adaptive ceiling);
+#: * ``shard_content`` — shared by a stacked grid and part of what a shard
+#:   computes, so it belongs in the resume digest of
+#:   :func:`repro.core.montecarlo.journal.run_digest`;
+#: * ``execution`` — shared by a stacked grid but never changes a number
+#:   (worker count, pool, transport, retries, journal path).
+PER_POINT = "per_point"
+SHARD_CONTENT = "shard_content"
+EXECUTION = "execution"
+ROLES = (PER_POINT, SHARD_CONTENT, EXECUTION)
+
+#: Entry-point spellings of config fields.  Sweeps and experiments size a
+#: run with ``mc_``-prefixed names, and every front door says ``pool_kind``
+#: because its ``pool`` argument is the shared executor.
+OPTION_ALIASES: Dict[str, str] = {
+    "mc_iterations": "n_iterations",
+    "mc_horizon_hours": "horizon_hours",
+    "mc_max_iterations": "max_iterations",
+    "pool_kind": "pool",
+}
+
+
+def _tagged(role: str, default=MISSING, **kwargs):
+    """Declare a config field with its role tag."""
+    return field(default=default, metadata={"role": role}, **kwargs)
+
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """Everything needed to run a Monte Carlo availability estimate.
+
+    This is the one run plan: every Monte Carlo entry point
+    (:func:`~repro.core.evaluation.evaluate`,
+    :func:`~repro.core.evaluation.evaluate_stacked`,
+    :func:`~repro.core.sweep.sweep`, :func:`~repro.core.sweep.sweep_grid`,
+    the experiments and the CLI) builds one of these from its keyword
+    options (see :func:`config_from_options`), so the attributes below are
+    the single reference for those options.  Each field carries a role tag
+    (:data:`PER_POINT`, :data:`SHARD_CONTENT` or :data:`EXECUTION`).
 
     Attributes
     ----------
@@ -87,7 +127,9 @@ class MonteCarloConfig:
         (this forces the scalar execution path).
     executor:
         ``"auto"`` (batch whenever the policy has a vectorised kernel and no
-        trace is collected), ``"batch"`` or ``"scalar"``.
+        trace is collected), ``"batch"`` or ``"scalar"``.  An explicit
+        ``"scalar"`` is part of a checkpoint journal's run digest: scalar
+        and batch shards draw different numbers.
     workers:
         Number of worker processes for the sharded executor.  ``1`` (the
         default) runs all shards in-process; ``> 1`` fans shards out over a
@@ -181,28 +223,30 @@ class MonteCarloConfig:
         digest; a ``seed=None`` resume adopts the journaled run's entropy.
     """
 
-    params: AvailabilityParameters = field(default_factory=AvailabilityParameters)
-    policy: PolicyRef = PolicyKind.CONVENTIONAL
-    horizon_hours: float = DEFAULT_HORIZON_HOURS
-    n_iterations: int = DEFAULT_ITERATIONS
-    confidence: float = 0.99
-    seed: Optional[int] = None
-    collect_trace: bool = False
-    executor: str = "auto"
-    workers: int = 1
-    shard_size: Optional[int] = None
-    target_half_width: Optional[float] = None
-    max_iterations: Optional[int] = None
-    transport: str = "auto"
-    biasing: Optional[float] = None
-    allocator: str = "uniform"
-    kernel: str = "auto"
-    pool: str = "process"
-    shard_timeout: Optional[float] = None
-    max_shard_retries: int = 0
-    retry_backoff: float = 0.1
-    checkpoint: Optional[str] = None
-    resume: Optional[str] = None
+    params: AvailabilityParameters = _tagged(
+        PER_POINT, default_factory=AvailabilityParameters
+    )
+    policy: PolicyRef = _tagged(SHARD_CONTENT, PolicyKind.CONVENTIONAL)
+    horizon_hours: float = _tagged(SHARD_CONTENT, DEFAULT_HORIZON_HOURS)
+    n_iterations: int = _tagged(PER_POINT, DEFAULT_ITERATIONS)
+    confidence: float = _tagged(SHARD_CONTENT, 0.99)
+    seed: Optional[int] = _tagged(SHARD_CONTENT, None)
+    collect_trace: bool = _tagged(EXECUTION, False)
+    executor: str = _tagged(SHARD_CONTENT, "auto")
+    workers: int = _tagged(EXECUTION, 1)
+    shard_size: Optional[int] = _tagged(SHARD_CONTENT, None)
+    target_half_width: Optional[float] = _tagged(SHARD_CONTENT, None)
+    max_iterations: Optional[int] = _tagged(PER_POINT, None)
+    transport: str = _tagged(EXECUTION, "auto")
+    biasing: Optional[float] = _tagged(SHARD_CONTENT, None)
+    allocator: str = _tagged(SHARD_CONTENT, "uniform")
+    kernel: str = _tagged(SHARD_CONTENT, "auto")
+    pool: str = _tagged(EXECUTION, "process")
+    shard_timeout: Optional[float] = _tagged(EXECUTION, None)
+    max_shard_retries: int = _tagged(EXECUTION, 0)
+    retry_backoff: float = _tagged(EXECUTION, 0.1)
+    checkpoint: Optional[str] = _tagged(EXECUTION, None)
+    resume: Optional[str] = _tagged(EXECUTION, None)
 
     def __post_init__(self) -> None:
         if self.horizon_hours <= 0.0:
@@ -435,3 +479,25 @@ class MonteCarloConfig:
             f"{self.params.geometry.label} {self.policy_name} "
             f"lambda={self.params.disk_failure_rate:g} hep={self.params.hep:g}"
         )
+
+
+def fields_with_role(*roles: str) -> Tuple[str, ...]:
+    """Return the names of the config fields tagged with any of ``roles``."""
+    return tuple(f.name for f in fields(MonteCarloConfig) if f.metadata["role"] in roles)
+
+
+def config_from_options(**options) -> MonteCarloConfig:
+    """Build the run plan of an entry point from its keyword options.
+
+    Accepts every :class:`MonteCarloConfig` field name and the entry-point
+    spellings of :data:`OPTION_ALIASES`.  An unknown name raises
+    :class:`TypeError` naming it, exactly as a misspelt keyword argument
+    of an ordinary signature would.
+    """
+    renamed: Dict[str, object] = {}
+    for name, value in options.items():
+        field_name = OPTION_ALIASES.get(name, name)
+        if field_name in renamed:
+            raise TypeError(f"got multiple values for option {field_name!r} ({name!r})")
+        renamed[field_name] = value
+    return MonteCarloConfig(**renamed)

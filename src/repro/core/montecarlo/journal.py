@@ -22,11 +22,13 @@ The first line is a header::
 ``digest`` is the SHA-256 of the canonical (sorted-key) JSON of everything
 that determines the run's numbers: policy name and redundancy scheme,
 parameter reprs, horizon, per-point lifetime counts, master entropy, shard
-size, CRN mode, resolved kernel, biasing, and the adaptive controls
-(target, ceilings, allocator, confidence).  Execution knobs that provably
-do **not** change results — worker count, pool kind, transport — are
-excluded, so a journal written by a 4-worker shm run resumes under a
-single serial worker (and vice versa).  The one exception is the scalar
+size, CRN mode, resolved kernel, biasing, an explicit scalar executor,
+and the adaptive controls (target, ceilings, allocator, confidence): the
+fields :class:`~repro.core.montecarlo.config.MonteCarloConfig` tags
+``shard_content``.  Execution knobs that provably do **not** change
+results — worker count, pool kind, transport — are excluded, so a
+journal written by a 4-worker shm run resumes under a single serial
+worker (and vice versa).  The one exception is the scalar
 path with an unpinned ``shard_size``, whose decomposition derives from the
 worker count; there the worker count *is* part of the digest.  ``compiled``
 collapses to ``numpy`` in the digest (the backends are bit-identical);
@@ -126,6 +128,10 @@ def run_digest(
     if scalar and shard_size is None:
         # Unpinned scalar decomposition derives from the worker count.
         key["workers"] = int(first.workers)
+    if first.executor == "scalar":
+        # Scalar shards draw other numbers than batch shards.  The key is
+        # only present on the scalar path, so batch digests stay unchanged.
+        key["executor"] = "scalar"
     digest = hashlib.sha256(
         json.dumps(key, sort_keys=True).encode("utf-8")
     ).hexdigest()

@@ -46,7 +46,12 @@ from repro.core.montecarlo.batch import (
     segment_point_records,
 )
 from repro.core.montecarlo.compiled import kernel_context, resolve_kernel
-from repro.core.montecarlo.config import MonteCarloConfig
+from repro.core.montecarlo.config import (
+    EXECUTION,
+    SHARD_CONTENT,
+    MonteCarloConfig,
+    fields_with_role,
+)
 from repro.core.montecarlo.faults import check_abort, check_fault
 from repro.core.montecarlo.fused import run_fused_batch
 from repro.core.montecarlo.journal import (
@@ -922,6 +927,14 @@ def run_stacked_shard_shm(
         del grid_slice
 
 
+#: Config fields every point of a stacked grid must share: all but the
+#: per-point ones and the policy, which :func:`_validate_stacked` compares
+#: after resolving it.
+_GRID_SHARED_FIELDS = tuple(
+    name for name in fields_with_role(SHARD_CONTENT, EXECUTION) if name != "policy"
+)
+
+
 def _validate_stacked(
     configs: Sequence[MonteCarloConfig],
 ) -> Tuple[SimulationPolicy, MonteCarloConfig]:
@@ -945,12 +958,7 @@ def _validate_stacked(
             raise ConfigurationError("stacked configs must share one policy")
         if config.collect_trace:
             raise ConfigurationError("event traces require the per-point scalar path")
-        for attr in (
-            "horizon_hours", "confidence", "seed", "executor", "workers",
-            "shard_size", "transport", "target_half_width", "biasing",
-            "allocator", "kernel", "pool", "shard_timeout",
-            "max_shard_retries", "retry_backoff", "checkpoint", "resume",
-        ):
+        for attr in _GRID_SHARED_FIELDS:
             if getattr(config, attr) != getattr(first, attr):
                 raise ConfigurationError(
                     f"stacked configs must share {attr!r}: "

@@ -47,22 +47,23 @@ works anywhere a policy is expected.
 from __future__ import annotations
 
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.evaluation import (
+    BACKENDS,
     analytical_result,
     chain_template,
-    evaluate,
-    evaluate_stacked,
+    check_mc_options_for_backend,
+    per_point_estimates,
+    resolve_backend,
+    stacked_estimates,
 )
 from repro.core.montecarlo.config import (
-    DEFAULT_HORIZON_HOURS,
-    DEFAULT_ITERATIONS,
+    MonteCarloConfig,
     PolicyRef,
+    config_from_options,
 )
-from repro.core.montecarlo.parallel import worker_pool
 from repro.core.parameters import AvailabilityParameters
 from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.registry import resolve_policy
@@ -83,7 +84,7 @@ SWEEP_AXES: Dict[str, str] = {
 }
 
 #: Sweep backends: the evaluation backends of :mod:`repro.core.evaluation`.
-SWEEP_BACKENDS = ("analytical", "monte_carlo", "auto")
+SWEEP_BACKENDS = BACKENDS
 
 #: Monte Carlo sweep engines: ``"auto"`` uses the stacked grid whenever the
 #: policy and configuration allow it and falls back to the per-point loop.
@@ -111,7 +112,7 @@ def _warn_adaptive_fallback(reason: str) -> None:
         "adaptive sweep cannot use the stacked allocator "
         f"({reason}); falling back to the per-point adaptive loop",
         RuntimeWarning,
-        stacklevel=4,
+        stacklevel=5,
     )
 
 
@@ -237,39 +238,6 @@ def _analytical_points(
     return points
 
 
-def _check_mc_options_for_backend(
-    backend: str, mc_engine: str, crn: bool, biasing: Optional[float] = None
-) -> None:
-    """Reject Monte Carlo-only options once a sweep resolved analytically.
-
-    ``backend="auto"`` picks the analytical face whenever the policy has
-    one; an explicit ``crn``, ``mc_engine`` or ``biasing`` request must not
-    be dropped silently on that path (a caller asking for coupled streams
-    or importance sampling would get plain point estimates without
-    noticing).
-    """
-    if backend == "monte_carlo":
-        return
-    if crn:
-        raise ConfigurationError(
-            "common random numbers apply to the monte_carlo backend, but "
-            "this sweep resolved to the analytical backend; pass "
-            "backend='monte_carlo'"
-        )
-    if mc_engine != "auto":
-        raise ConfigurationError(
-            f"mc_engine={mc_engine!r} applies to the monte_carlo backend, "
-            "but this sweep resolved to the analytical backend; pass "
-            "backend='monte_carlo'"
-        )
-    if biasing is not None:
-        raise ConfigurationError(
-            "failure biasing applies to the monte_carlo backend, but this "
-            "sweep resolved to the analytical backend; pass "
-            "backend='monte_carlo'"
-        )
-
-
 def _point_from_estimate(estimate, x: float) -> SweepPoint:
     return SweepPoint(
         x=float(x),
@@ -287,37 +255,19 @@ def _point_from_estimate(estimate, x: float) -> SweepPoint:
 def _monte_carlo_points(
     point_params: Sequence[AvailabilityParameters],
     xs: Sequence[float],
-    policy: SimulationPolicy,
+    config: MonteCarloConfig,
     *,
-    mc_iterations: int,
-    mc_horizon_hours: float,
-    seed: Optional[int],
-    confidence: float,
-    executor: str,
-    workers: int,
-    shard_size: Optional[int],
-    target_half_width: Optional[float],
-    mc_max_iterations: Optional[int],
     mc_engine: str,
     crn: bool,
-    transport: str,
-    biasing: Optional[float],
-    allocator: str,
-    kernel: str,
-    pool_kind: str,
     pool,
-    shard_timeout: Optional[float] = None,
-    max_shard_retries: int = 0,
-    retry_backoff: float = 0.1,
-    checkpoint: Optional[str] = None,
-    resume: Optional[str] = None,
 ) -> List[SweepPoint]:
     """Evaluate arbitrary parameter points on the Monte Carlo backend."""
     if mc_engine not in MC_ENGINES:
         raise ConfigurationError(
             f"mc_engine must be one of {MC_ENGINES}, got {mc_engine!r}"
         )
-    stackable = policy.can_stack and executor != "scalar"
+    policy = resolve_policy(config.policy)
+    stackable = policy.can_stack and config.executor != "scalar"
     if mc_engine == "stacked" and not stackable:
         raise ConfigurationError(
             "the stacked engine requires a stacked-capable policy kernel and "
@@ -334,17 +284,17 @@ def _monte_carlo_points(
             "mc_engine='per_point', or a policy without a stacked-capable "
             "kernel)"
         )
-    if target_half_width is not None and mc_engine == "auto" and not use_stacked:
+    if config.target_half_width is not None and mc_engine == "auto" and not use_stacked:
         # Adaptive sweeps prefer the stacked allocator; fall back (loudly,
         # once) rather than refusing configurations it cannot serve.  An
         # explicit mc_engine="per_point" is honoured silently.
         reason = (
             "scalar executor requested"
-            if executor == "scalar"
+            if config.executor == "scalar"
             else f"policy {policy.name!r} has no stacked-capable kernel"
         )
         _warn_adaptive_fallback(reason)
-    if not use_stacked and (checkpoint is not None or resume is not None):
+    if not use_stacked and config.journal_path is not None:
         # A shard journal describes one stacked grid; the per-point loop
         # runs many independent studies whose digests would collide in a
         # single journal file.  Refuse rather than silently not checkpoint.
@@ -355,68 +305,35 @@ def _monte_carlo_points(
             "kernel)"
         )
     if use_stacked:
-        estimates = evaluate_stacked(
-            point_params,
-            policy,
-            n_iterations=mc_iterations,
-            horizon_hours=mc_horizon_hours,
-            seed=seed,
-            confidence=confidence,
-            workers=workers,
-            shard_size=shard_size,
-            target_half_width=target_half_width,
-            max_iterations=mc_max_iterations,
-            crn=crn,
-            transport=transport,
-            biasing=biasing,
-            allocator=allocator,
-            kernel=kernel,
-            pool_kind=pool_kind,
-            pool=pool,
-            shard_timeout=shard_timeout,
-            max_shard_retries=max_shard_retries,
-            retry_backoff=retry_backoff,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
-        return [
-            _point_from_estimate(estimate, x) for estimate, x in zip(estimates, xs)
-        ]
-    # Per-point loop: one study per point, one shared pool for the sweep.
-    context = nullcontext(pool) if pool is not None else worker_pool(workers, pool_kind)
-    points: List[SweepPoint] = []
-    with context as sweep_pool:
-        for params, x in zip(point_params, xs):
-            estimate = evaluate(
-                params,
-                policy=policy,
-                backend="monte_carlo",
-                n_iterations=mc_iterations,
-                horizon_hours=mc_horizon_hours,
-                seed=seed,
-                confidence=confidence,
-                executor=executor,
-                workers=workers,
-                shard_size=shard_size,
-                target_half_width=target_half_width,
-                max_iterations=mc_max_iterations,
-                transport=transport,
-                biasing=biasing,
-                allocator=allocator,
-                kernel=kernel,
-                pool_kind=pool_kind,
-                pool=sweep_pool,
-                shard_timeout=shard_timeout,
-                max_shard_retries=max_shard_retries,
-                retry_backoff=retry_backoff,
-            )
-            points.append(_point_from_estimate(estimate, x))
-            if estimate.interrupted:
-                # The sharded executor absorbed a KeyboardInterrupt/SIGTERM
-                # into a partial estimate; honour it — don't start the
-                # remaining points after the user asked to stop.
-                break
-    return points
+        estimates = stacked_estimates(point_params, config, crn=crn, pool=pool)
+    else:
+        estimates = per_point_estimates(point_params, config, pool)
+    return [_point_from_estimate(estimate, x) for estimate, x in zip(estimates, xs)]
+
+
+def _sweep_points(
+    base_params: AvailabilityParameters,
+    point_params: Sequence[AvailabilityParameters],
+    xs: Sequence[float],
+    policy: PolicyRef,
+    backend: str,
+    *,
+    method: str,
+    seed: Optional[int],
+    mc_engine: str,
+    crn: bool,
+    pool,
+    options,
+) -> List[SweepPoint]:
+    """Evaluate the points of a sweep or grid on the resolved backend."""
+    backend, resolved = resolve_backend(backend, policy)
+    config = config_from_options(params=base_params, policy=resolved, seed=seed, **options)
+    check_mc_options_for_backend(backend, config, mc_engine=mc_engine, crn=crn)
+    if backend == "analytical":
+        return _analytical_points(point_params, xs, resolved, method)
+    return _monte_carlo_points(
+        point_params, xs, config, mc_engine=mc_engine, crn=crn, pool=pool
+    )
 
 
 def sweep(
@@ -427,28 +344,11 @@ def sweep(
     backend: str = "auto",
     *,
     method: str = "auto",
-    mc_iterations: int = DEFAULT_ITERATIONS,
-    mc_horizon_hours: float = DEFAULT_HORIZON_HOURS,
     seed: Optional[int] = 0,
-    confidence: float = 0.99,
-    executor: str = "auto",
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    target_half_width: Optional[float] = None,
-    mc_max_iterations: Optional[int] = None,
     mc_engine: str = "auto",
     crn: bool = False,
-    transport: str = "auto",
-    biasing: Optional[float] = None,
-    allocator: str = "uniform",
-    kernel: str = "auto",
-    pool_kind: str = "process",
     pool=None,
-    shard_timeout: Optional[float] = None,
-    max_shard_retries: int = 0,
-    retry_backoff: float = 0.1,
-    checkpoint: Optional[str] = None,
-    resume: Optional[str] = None,
+    **options,
 ) -> List[SweepPoint]:
     """Sweep one parameter axis for one policy on one backend.
 
@@ -468,11 +368,9 @@ def sweep(
     method:
         Steady-state solver for analytical sweeps (``"auto"`` = dense/sparse
         by state count).
-    mc_iterations, mc_horizon_hours, seed, confidence, executor, workers,
-    shard_size, target_half_width:
-        Monte Carlo configuration for simulation-backed sweeps; every point
-        uses the same master seed so neighbouring points share their random
-        stream layout.
+    seed:
+        Master seed of a Monte Carlo sweep; every point uses it, so
+        neighbouring points share their random stream layout.
     mc_engine:
         ``"stacked"`` (one kernel invocation per shard covers the whole
         grid), ``"per_point"`` (the retained pre-stacked loop, one full
@@ -485,83 +383,31 @@ def sweep(
         Stacked engine only — couple every point to identical base random
         streams (common random numbers) for variance-reduced contrasts
         between neighbouring points.
-    transport:
-        How a stacked sweep's parameter planes reach the shard workers:
-        ``"auto"`` (zero-copy shared-memory planes whenever usable),
-        ``"shm"`` or ``"pickle"`` (per-shard rebuild, the retained
-        fallback/oracle).  Results are byte-identical across transports.
-    biasing:
-        Failure-biasing factor of the importance-sampled kernels (``None``
-        keeps the unbiased kernels); see
-        :class:`~repro.core.montecarlo.config.MonteCarloConfig`.
-    allocator:
-        Adaptive-round budget allocator of stacked adaptive sweeps:
-        ``"uniform"`` or ``"ci_width"``.
-    kernel:
-        Kernel backend of the batch path (``"auto"``, ``"numpy"``,
-        ``"compiled"`` or ``"fused"``); see
-        :class:`~repro.core.montecarlo.config.MonteCarloConfig`.
-    pool_kind:
-        Shard-executor pool of the sharded path (``"process"``, ``"thread"``
-        or ``"serial"``); named ``pool_kind`` because ``pool`` below is the
-        long-standing shared-executor argument.
     pool:
         Optional externally owned worker pool; ``None`` with ``workers > 1``
         starts one pool for the whole sweep (not one per point).
-    shard_timeout, max_shard_retries, retry_backoff:
-        Fault tolerance of the sharded executor — per-shard deadline and
-        bounded retry with exponential backoff; retried shards recompute
-        bit-identical summaries.  See
-        :class:`~repro.core.montecarlo.config.MonteCarloConfig`.
-    checkpoint, resume:
-        Durable shard journal of stacked sweeps: ``checkpoint`` appends
-        every completed shard summary to the given path, ``resume`` splices
-        a previous journal back in (and keeps appending), skipping already
-        completed shards; a resumed sweep is bit-identical to an
-        uninterrupted one.
+    **options:
+        Monte Carlo options as in :func:`~repro.core.evaluation.evaluate`:
+        any :class:`~repro.core.montecarlo.config.MonteCarloConfig` field or
+        entry-point spelling (``mc_iterations``, ``mc_horizon_hours``,
+        ``mc_max_iterations``, ``pool_kind``).  A ``checkpoint``/``resume``
+        journal covers stacked sweeps only.
     """
     if not values:
         raise ConfigurationError(f"sweep over {axis!r} requires at least one value")
-    if backend not in SWEEP_BACKENDS:
-        raise ConfigurationError(
-            f"backend must be one of {SWEEP_BACKENDS}, got {backend!r}"
-        )
     field = _axis_field(axis)
-    resolved = resolve_policy(policy)
-    if backend == "auto":
-        backend = "analytical" if resolved.has_analytical_model else "monte_carlo"
-    _check_mc_options_for_backend(backend, mc_engine, crn, biasing)
-    point_params = [_with_axis(base_params, field, value) for value in values]
-    xs = [float(value) for value in values]
-
-    if backend == "analytical":
-        return _analytical_points(point_params, xs, resolved, method)
-    return _monte_carlo_points(
-        point_params,
-        xs,
-        resolved,
-        mc_iterations=mc_iterations,
-        mc_horizon_hours=mc_horizon_hours,
+    return _sweep_points(
+        base_params,
+        [_with_axis(base_params, field, value) for value in values],
+        [float(value) for value in values],
+        policy,
+        backend,
+        method=method,
         seed=seed,
-        confidence=confidence,
-        executor=executor,
-        workers=workers,
-        shard_size=shard_size,
-        target_half_width=target_half_width,
-        mc_max_iterations=mc_max_iterations,
         mc_engine=mc_engine,
         crn=crn,
-        transport=transport,
-        biasing=biasing,
-        allocator=allocator,
-        kernel=kernel,
-        pool_kind=pool_kind,
         pool=pool,
-        shard_timeout=shard_timeout,
-        max_shard_retries=max_shard_retries,
-        retry_backoff=retry_backoff,
-        checkpoint=checkpoint,
-        resume=resume,
+        options=options,
     )
 
 
@@ -570,16 +416,7 @@ def sweep_per_point_mc(
     axis: str,
     values: Sequence[float],
     policy: PolicyRef = "conventional",
-    *,
-    mc_iterations: int = DEFAULT_ITERATIONS,
-    mc_horizon_hours: float = DEFAULT_HORIZON_HOURS,
-    seed: Optional[int] = 0,
-    confidence: float = 0.99,
-    executor: str = "auto",
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    target_half_width: Optional[float] = None,
-    pool=None,
+    **options,
 ) -> List[SweepPoint]:
     """Reference Monte Carlo sweep running one full study per point.
 
@@ -588,7 +425,7 @@ def sweep_per_point_mc(
     truth the stacked engine is statistically validated and benchmarked
     against, and as the execution path for configurations the stacked
     engine does not cover (scalar executor, policies without a
-    stacked-capable kernel).
+    stacked-capable kernel).  ``options`` are those of :func:`sweep`.
     """
     return sweep(
         base_params,
@@ -596,16 +433,8 @@ def sweep_per_point_mc(
         values,
         policy=policy,
         backend="monte_carlo",
-        mc_iterations=mc_iterations,
-        mc_horizon_hours=mc_horizon_hours,
-        seed=seed,
-        confidence=confidence,
-        executor=executor,
-        workers=workers,
-        shard_size=shard_size,
-        target_half_width=target_half_width,
         mc_engine="per_point",
-        pool=pool,
+        **options,
     )
 
 
@@ -665,28 +494,11 @@ def sweep_grid(
     backend: str = "auto",
     *,
     method: str = "auto",
-    mc_iterations: int = DEFAULT_ITERATIONS,
-    mc_horizon_hours: float = DEFAULT_HORIZON_HOURS,
     seed: Optional[int] = 0,
-    confidence: float = 0.99,
-    executor: str = "auto",
-    workers: int = 1,
-    shard_size: Optional[int] = None,
-    target_half_width: Optional[float] = None,
-    mc_max_iterations: Optional[int] = None,
     mc_engine: str = "auto",
     crn: bool = False,
-    transport: str = "auto",
-    biasing: Optional[float] = None,
-    allocator: str = "uniform",
-    kernel: str = "auto",
-    pool_kind: str = "process",
     pool=None,
-    shard_timeout: Optional[float] = None,
-    max_shard_retries: int = 0,
-    retry_backoff: float = 0.1,
-    checkpoint: Optional[str] = None,
-    resume: Optional[str] = None,
+    **options,
 ) -> SweepGrid:
     """Sweep two parameter axes at once (a fig5-style surface) in one call.
 
@@ -707,53 +519,23 @@ def sweep_grid(
         )
     if not values1 or not values2:
         raise ConfigurationError("both grid axes require at least one value")
-    if backend not in SWEEP_BACKENDS:
-        raise ConfigurationError(
-            f"backend must be one of {SWEEP_BACKENDS}, got {backend!r}"
-        )
-    resolved = resolve_policy(policy)
-    if backend == "auto":
-        backend = "analytical" if resolved.has_analytical_model else "monte_carlo"
-    _check_mc_options_for_backend(backend, mc_engine, crn, biasing)
-    point_params: List[AvailabilityParameters] = []
-    xs: List[float] = []
-    for v1 in values1:
-        for v2 in values2:
-            point_params.append(
-                _with_axis(_with_axis(base_params, field1, v1), field2, v2)
-            )
-            xs.append(float(v2))
-
-    if backend == "analytical":
-        flat = _analytical_points(point_params, xs, resolved, method)
-    else:
-        flat = _monte_carlo_points(
-            point_params,
-            xs,
-            resolved,
-            mc_iterations=mc_iterations,
-            mc_horizon_hours=mc_horizon_hours,
-            seed=seed,
-            confidence=confidence,
-            executor=executor,
-            workers=workers,
-            shard_size=shard_size,
-            target_half_width=target_half_width,
-            mc_max_iterations=mc_max_iterations,
-            mc_engine=mc_engine,
-            crn=crn,
-            transport=transport,
-            biasing=biasing,
-            allocator=allocator,
-            kernel=kernel,
-            pool_kind=pool_kind,
-            pool=pool,
-            shard_timeout=shard_timeout,
-            max_shard_retries=max_shard_retries,
-            retry_backoff=retry_backoff,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
+    flat = _sweep_points(
+        base_params,
+        [
+            _with_axis(_with_axis(base_params, field1, v1), field2, v2)
+            for v1 in values1
+            for v2 in values2
+        ],
+        [float(v2) for _ in values1 for v2 in values2],
+        policy,
+        backend,
+        method=method,
+        seed=seed,
+        mc_engine=mc_engine,
+        crn=crn,
+        pool=pool,
+        options=options,
+    )
     n2 = len(values2)
     rows = [flat[i * n2 : (i + 1) * n2] for i in range(len(values1))]
     return SweepGrid(

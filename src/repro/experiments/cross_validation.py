@@ -15,14 +15,17 @@ job via ``python -m repro crossval --iterations <small>``.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.availability.report import Table
-from repro.core.evaluation import analytical_policies, evaluate
-from repro.core.montecarlo.config import PolicyRef
-from repro.core.montecarlo.parallel import worker_pool
+from repro.core.evaluation import (
+    analytical_policies,
+    evaluate,
+    evaluate_config,
+    shared_pool,
+)
+from repro.core.montecarlo.config import PolicyRef, config_from_options
 from repro.core.parameters import AvailabilityParameters, paper_parameters
 from repro.core.policies.registry import resolve_policy
 from repro.experiments.config import DEFAULTS
@@ -62,13 +65,10 @@ def run_cross_validation(
     params: Optional[AvailabilityParameters] = None,
     policies: Optional[Sequence[PolicyRef]] = None,
     mc_iterations: int = DEFAULTS.mc_iterations,
-    mc_horizon_hours: float = DEFAULTS.mc_horizon_hours,
-    confidence: float = DEFAULTS.mc_confidence,
+    *,
     seed: Optional[int] = DEFAULTS.seed,
-    workers: int = 1,
-    kernel: str = "auto",
-    pool_kind: str = "process",
     pool=None,
+    **options,
 ) -> List[CrossValidationRow]:
     """Validate analytical against Monte Carlo for every dual-face policy.
 
@@ -82,20 +82,32 @@ def run_cross_validation(
         Policies to validate; defaults to every registered policy with an
         analytical face *except* periodic-scheme (checker-cycle) policies,
         whose sparse repair events would make the default smoke job flaky.
-    mc_iterations, mc_horizon_hours, confidence, seed:
-        Monte Carlo configuration shared by all policies (``seed=None``
-        draws fresh entropy per policy).
-    workers / pool:
-        Sharded-executor fan-out; a single pool is shared across policies.
-    kernel / pool_kind:
-        Kernel backend and shard-executor pool of the Monte Carlo face
-        (``MonteCarloConfig.kernel`` / ``.pool``); ``pool_kind`` is so
-        named because ``pool`` is the shared-executor argument above.
+    mc_iterations, seed:
+        Lifetimes and master seed of every policy's Monte Carlo run
+        (``seed=None`` draws fresh entropy per policy).  The shard size is
+        pinned to a quarter of ``mc_iterations``, so the drawn lifetimes
+        are identical across ``workers`` values.
+    pool:
+        Optional externally owned worker pool; otherwise one pool is
+        shared across policies.
+    **options:
+        Further Monte Carlo options (``workers``, ``kernel``,
+        ``pool_kind``, ``confidence``, ...), as in
+        :func:`~repro.core.evaluation.evaluate`.
     """
     if params is None:
         params = paper_parameters(
             geometry=RaidGeometry.raid5(3), disk_failure_rate=1e-4, hep=0.01
         )
+    # Pinning the shard size keeps the drawn lifetimes identical across
+    # --workers values, so the smoke job is reproducible on any machine.
+    config = config_from_options(
+        params=params,
+        seed=seed,
+        n_iterations=mc_iterations,
+        shard_size=max(1, mc_iterations // 4),
+        **options,
+    )
     if policies is None:
         # Periodic-scheme policies (the erasure family) are excluded from the
         # default set: at sparse operating points the monthly checker sees so
@@ -111,27 +123,10 @@ def run_cross_validation(
     else:
         chosen = [resolve_policy(p) for p in policies]
     rows: List[CrossValidationRow] = []
-    context = nullcontext(pool) if pool is not None else worker_pool(workers, pool_kind)
-    with context as shared_pool:
+    with shared_pool(config, pool) as policy_pool:
         for policy in chosen:
             analytical = evaluate(params, policy=policy, backend="analytical")
-            mc = evaluate(
-                params,
-                policy=policy,
-                backend="monte_carlo",
-                n_iterations=mc_iterations,
-                horizon_hours=mc_horizon_hours,
-                confidence=confidence,
-                seed=seed,
-                workers=workers,
-                # Pinning the shard size keeps the drawn lifetimes identical
-                # across --workers values, so the smoke job is reproducible
-                # on any machine.
-                shard_size=max(1, mc_iterations // 4),
-                kernel=kernel,
-                pool_kind=pool_kind,
-                pool=shared_pool,
-            )
+            mc = evaluate_config(replace(config, policy=policy), policy_pool)
             rows.append(
                 CrossValidationRow(
                     policy=policy.name,
