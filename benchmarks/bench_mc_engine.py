@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -48,7 +49,7 @@ def test_monte_carlo_conventional_throughput(benchmark, bench_seed):
 
 def test_monte_carlo_conventional_scalar_throughput(benchmark, bench_seed):
     """Time the same 2000-lifetime study on the scalar (seed) path."""
-    config = _bench_config(PolicyKind.CONVENTIONAL, 2000, bench_seed).with_executor("scalar")
+    config = replace(_bench_config(PolicyKind.CONVENTIONAL, 2000, bench_seed), executor="scalar")
     result = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
     print()
     print(f"conventional MC (scalar): availability={result.availability:.10f}")
@@ -66,7 +67,7 @@ def test_monte_carlo_failover_throughput(benchmark, bench_seed):
 
 def test_monte_carlo_failover_scalar_throughput(benchmark, bench_seed):
     """Time the same 2000-lifetime fail-over study on the scalar path."""
-    config = _bench_config(PolicyKind.AUTOMATIC_FAILOVER, 2000, bench_seed).with_executor("scalar")
+    config = replace(_bench_config(PolicyKind.AUTOMATIC_FAILOVER, 2000, bench_seed), executor="scalar")
     result = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
     print()
     print(f"fail-over MC (scalar): availability={result.availability:.10f}")
@@ -87,11 +88,11 @@ def test_batch_beats_scalar_at_10k_iterations(benchmark, bench_seed):
     config = _bench_config(PolicyKind.CONVENTIONAL, 10_000, bench_seed)
 
     start = time.perf_counter()
-    scalar = run_monte_carlo(config.with_executor("scalar"))
+    scalar = run_monte_carlo(replace(config, executor="scalar"))
     scalar_seconds = time.perf_counter() - start
 
     batch = benchmark.pedantic(
-        run_monte_carlo, args=(config.with_executor("batch"),), iterations=1, rounds=3
+        run_monte_carlo, args=(replace(config, executor="batch"),), iterations=1, rounds=3
     )
     # Best-of-3 from the benchmark's own measurements; no extra run needed.
     batch_seconds = benchmark.stats.stats.min
@@ -116,9 +117,9 @@ def test_monte_carlo_sharded_2worker_throughput(benchmark, bench_seed):
     available); the estimate must agree with the single-process batch path
     at the 99 % level.
     """
-    config = _bench_config(PolicyKind.CONVENTIONAL, 20_000, bench_seed).with_workers(2)
+    config = replace(_bench_config(PolicyKind.CONVENTIONAL, 20_000, bench_seed), workers=2)
     result = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
-    batch = run_monte_carlo(config.with_workers(1).with_executor("batch"))
+    batch = run_monte_carlo(replace(config, workers=1, executor="batch"))
     print()
     print(f"sharded 2w MC: availability={result.availability:.10f} n={result.n_iterations}")
     assert batch.interval.contains(result.availability) or result.interval.contains(
@@ -130,10 +131,10 @@ def test_monte_carlo_sharded_2worker_throughput(benchmark, bench_seed):
 def test_monte_carlo_adaptive_stopping_throughput(benchmark, bench_seed):
     """Time an adaptive run that tightens the interval beyond its first round."""
     config = _bench_config(PolicyKind.CONVENTIONAL, 2000, bench_seed)
-    first = run_monte_carlo(config.with_workers(1, shard_size=2000))
+    first = run_monte_carlo(replace(config, workers=1, shard_size=2000))
     target = first.interval.half_width / 2.0
-    adaptive = config.with_workers(1, shard_size=2000).with_target_half_width(
-        target, max_iterations=200_000
+    adaptive = replace(
+        config, workers=1, shard_size=2000, target_half_width=target, max_iterations=200_000
     )
     result = benchmark.pedantic(run_monte_carlo, args=(adaptive,), iterations=1, rounds=3)
     print()
@@ -168,11 +169,11 @@ def test_parallel_beats_single_process_batch(benchmark, bench_seed):
     single_timings = []
     for _ in range(3):
         start = time.perf_counter()
-        single = run_monte_carlo(config.with_executor("batch"))
+        single = run_monte_carlo(replace(config, executor="batch"))
         single_timings.append(time.perf_counter() - start)
     single_seconds = min(single_timings)
 
-    parallel_config = config.with_workers(4, shard_size=25_000)
+    parallel_config = replace(config, workers=4, shard_size=25_000)
     parallel = benchmark.pedantic(
         run_monte_carlo, args=(parallel_config,), iterations=1, rounds=3
     )

@@ -1,6 +1,6 @@
 """Engine benchmarks: the sweep engines against their per-point ancestors.
 
-Four acceptance criteria live here:
+Several acceptance criteria live here:
 
 * **Analytical** (PR 3): at 1000 sweep points the template-driven sweep
   (build the chain once, rewrite only the affected generator entries,
@@ -19,22 +19,6 @@ Four acceptance criteria live here:
   stacked grid, the compacted/arena kernel path must beat the retained
   uncompacted oracle (``compact=False``) by at least **1.3x** while
   consuming the random stream identically (batches compared bitwise).
-* **Zero-copy transport** (PR 5): a 256-point x 10k-lifetime grid on 4
-  workers, run on the zero-copy execution plane (shared-memory parameter
-  planes + compacted kernels, today's default), measured against the
-  retained legacy plane (per-shard pickle rebuild + uncompacted kernels)
-  with **bit-identical results always asserted**.  The **2x floor** is an
-  explicit opt-in (``REPRO_BENCH_TRANSPORT_STRICT=1``, >= 4 cores): it
-  describes the *transport-bound* regime — per-point payloads large
-  relative to kernel time — whereas at this model's payload (ten scalars
-  per point) the scalar-pickle transport is already near-optimal: its
-  grid-byte work (the per-shard ``StackedParams`` rebuilds) rides in the
-  workers in parallel, while the shared-memory plane pays one serial
-  parent-side pass over the grid bytes.  Every run records the measured
-  speedup into ``BENCH_sweep.json`` so the trajectory stays honest;
-  ``REPRO_BENCH_TRANSPORT_{POINTS,LIFETIMES,WORKERS}`` shrink the grid for
-  CI's ``transport-smoke`` job.
-
 * **Erasure checker-cycle grids** (PR 7): a 48-point share-failure-rate
   sweep of a 3-of-10 erasure scheme (monthly checker, repair below 7) at
   2000 lifetimes per point, run as one stacked grid with per-row scheme
@@ -70,8 +54,8 @@ Four acceptance criteria live here:
 * **Thread-pool shards** (PR 8): a 64-point x 5k-lifetime grid on 4
   workers, run end-to-end (pool startup included) on the thread pool —
   workers share the materialized grid planes outright, no fork, no
-  per-shard pickle — against the default process pool with its
-  shared-memory transport.  Bit-identity is always asserted (the pool
+  per-shard pickle — against the default process pool, whose workers
+  rebuild their rows from pickled scalars.  Bit-identity is always asserted (the pool
   oracle); the strict floor (``REPRO_BENCH_THREAD_STRICT=1``) belongs to
   startup-dominated grids — once kernels dominate, the GIL caps the
   thread pool at numpy's released-GIL parallelism and the honest
@@ -99,7 +83,6 @@ runs and rendered by ``python -m repro bench history``.
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 
@@ -108,12 +91,8 @@ import pytest
 
 from repro.core.evaluation import clear_template_cache, evaluate
 from repro.core.montecarlo import MonteCarloConfig, run_monte_carlo, run_stacked
-from repro.core.montecarlo.parallel import worker_pool
-from repro.core.montecarlo.transport import shared_memory_available
-from repro.core.montecarlo.simulator import simulate_conventional
 from repro.core.parameters import paper_parameters
 from repro.core.policies import get_policy
-from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.stacked import stack_parameter_points
 from repro.core.policies.vectorized import batch_conventional
 from repro.core.sweep import sweep, sweep_per_point_rebuild
@@ -269,24 +248,11 @@ def test_stacked_mc_sweep_5x_faster_than_per_point(bench_record):
 
 
 # ----------------------------------------------------------------------
-# PR 5: allocation-lean kernels and the zero-copy transport plane
+# Allocation-lean kernels
 # ----------------------------------------------------------------------
 #: Required advantage of the compacted/arena kernel over the uncompacted
 #: oracle on the single-process 32 x 5k stacked grid.
 REQUIRED_COMPACTION_SPEEDUP = 1.3
-
-#: Required advantage of the zero-copy execution plane over the legacy
-#: plane in the strict (transport-bound regime) configuration.
-REQUIRED_TRANSPORT_SPEEDUP = 2.0
-
-#: Transport-grid shape; the env overrides shrink it for CI smoke runs.
-TRANSPORT_POINTS = int(os.environ.get("REPRO_BENCH_TRANSPORT_POINTS", "256"))
-TRANSPORT_LIFETIMES = int(os.environ.get("REPRO_BENCH_TRANSPORT_LIFETIMES", "10000"))
-TRANSPORT_WORKERS = int(os.environ.get("REPRO_BENCH_TRANSPORT_WORKERS", "4"))
-
-#: Opt-in gate for the 2x floor — meaningful only where transport, not the
-#: kernels, bounds the sweep (see the module docstring).
-TRANSPORT_STRICT = os.environ.get("REPRO_BENCH_TRANSPORT_STRICT") == "1"
 
 _BATCH_FIELDS = ("downtime_hours", "du_events", "dl_events", "disk_failures", "human_errors")
 
@@ -347,98 +313,6 @@ def test_stacked_kernel_compaction_1_3x(bench_record):
         f"compacted kernel only {speedup:.2f}x faster than the uncompacted "
         f"oracle (required {REQUIRED_COMPACTION_SPEEDUP:g}x)"
     )
-
-
-#: The legacy execution plane: per-shard pickle rebuild feeding the
-#: uncompacted kernels — exactly what ran before this PR, kept callable as
-#: the transport benchmark's baseline and bit-identity oracle.
-LEGACY_PLANE_POLICY = SimulationPolicy(
-    name="conventional",
-    description="conventional policy on the uncompacted oracle kernel",
-    scalar=simulate_conventional,
-    batch=functools.partial(batch_conventional, compact=False),
-    supports_stacked=True,
-)
-
-
-def _transport_configs(policy, transport: str, n_iterations=None):
-    heps = np.linspace(0.0, 0.05, TRANSPORT_POINTS)
-    return [
-        MonteCarloConfig(
-            params=paper_parameters(disk_failure_rate=1e-6, hep=float(hep)),
-            policy=policy,
-            n_iterations=int(n_iterations or TRANSPORT_LIFETIMES),
-            horizon_hours=87_600.0,
-            seed=2017,
-            workers=TRANSPORT_WORKERS,
-            shard_size=40_000,
-            transport=transport,
-        )
-        for hep in heps
-    ]
-
-
-def test_stacked_shm_transport(bench_record):
-    """Zero-copy vs legacy execution plane: bit-identity + recorded speedup.
-
-    The zero-copy side is today's default — parameter planes cross the
-    process boundary once through shared memory, workers attach row-range
-    views, kernels run compacted.  The legacy side re-pickles each shard's
-    points, rebuilds its ``StackedParams`` slice from scratch and runs the
-    uncompacted kernels.  Results must be bit-identical (same shard plan,
-    same streams, value-identical parameter rows) — that assertion runs
-    everywhere.  The >= 2x floor runs only with
-    ``REPRO_BENCH_TRANSPORT_STRICT=1`` on >= 4 cores: it belongs to the
-    transport-bound regime (large per-point payloads), which this model's
-    ten-scalar points do not reach — there the honest expectation is
-    parity, with the kernel compaction carrying the plane's advantage.
-    """
-    if not shared_memory_available():
-        pytest.skip("POSIX shared memory is not usable on this host")
-    cores = os.cpu_count() or 1
-    if TRANSPORT_STRICT and cores < 4:
-        pytest.skip(f"strict transport acceptance requires >= 4 cores, have {cores}")
-
-    with worker_pool(TRANSPORT_WORKERS) as pool:
-        # Warm the pool and both code paths at full size outside the timed
-        # region (first-touch page faults, allocator growth, imports).
-        run_stacked(_transport_configs(LEGACY_PLANE_POLICY, "pickle"), pool=pool)
-        run_stacked(_transport_configs("conventional", "shm"), pool=pool)
-
-        start = time.perf_counter()
-        legacy = run_stacked(_transport_configs(LEGACY_PLANE_POLICY, "pickle"), pool=pool)
-        legacy_seconds = time.perf_counter() - start
-
-        start = time.perf_counter()
-        zero_copy = run_stacked(_transport_configs("conventional", "shm"), pool=pool)
-        shm_seconds = time.perf_counter() - start
-
-    for fast, reference in zip(zero_copy, legacy):
-        assert fast.availability == reference.availability
-        assert fast.interval.half_width == reference.interval.half_width
-        assert fast.totals == reference.totals
-
-    speedup = legacy_seconds / max(shm_seconds, 1e-9)
-    print(
-        f"\nstacked shm transport: {TRANSPORT_POINTS} points x "
-        f"{TRANSPORT_LIFETIMES} lifetimes, {TRANSPORT_WORKERS} workers — "
-        f"zero-copy {shm_seconds:.3f}s, legacy {legacy_seconds:.3f}s "
-        f"(speedup {speedup:.2f}x{', strict' if TRANSPORT_STRICT else ''})"
-    )
-    bench_record(
-        "stacked_shm_transport",
-        points=TRANSPORT_POINTS,
-        seconds=shm_seconds,
-        speedup=speedup,
-        lifetimes_per_point=TRANSPORT_LIFETIMES,
-        workers=TRANSPORT_WORKERS,
-        strict=TRANSPORT_STRICT,
-    )
-    if TRANSPORT_STRICT:
-        assert speedup >= REQUIRED_TRANSPORT_SPEEDUP, (
-            f"zero-copy plane only {speedup:.2f}x faster than the legacy "
-            f"plane (required {REQUIRED_TRANSPORT_SPEEDUP:g}x)"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -624,7 +498,7 @@ def test_thread_pool_transport(bench_record):
     pool* — pool startup is part of the measurement, because that is the
     thread pool's structural advantage: no fork, no per-worker import
     replay, and the materialized grid planes are shared outright instead
-    of crossing a process boundary.  The shard plan, spawn-indexed
+    of being rebuilt from pickled scalars in every process worker.  The shard plan, spawn-indexed
     streams and CGL merge order are pool-independent, so the results must
     be bit-identical (the pool oracle).  The speedup is always recorded;
     the floor is opt-in (``REPRO_BENCH_THREAD_STRICT=1``) because

@@ -58,9 +58,7 @@ from repro.core.montecarlo import (
     EXECUTORS,
     KERNELS,
     POOLS,
-    TRANSPORTS,
     has_compiled_face,
-    reap_stale_segments,
     resolve_kernel,
     run_monte_carlo,
 )
@@ -155,14 +153,6 @@ def _add_monte_carlo_flags(parser: argparse.ArgumentParser) -> None:
         "ci_width (widest intervals get the next round's lifetimes)",
     )
     parser.add_argument(
-        "--transport",
-        choices=list(TRANSPORTS),
-        default="auto",
-        help="stacked-grid parameter transport: auto (zero-copy shared "
-        "memory when usable), shm, or pickle (per-shard rebuild; the "
-        "bit-identity oracle)",
-    )
-    parser.add_argument(
         "--kernel",
         choices=list(KERNELS),
         default="auto",
@@ -247,7 +237,6 @@ def _mc_options(args: argparse.Namespace) -> Dict[str, object]:
         max_iterations=max_iterations,
         biasing=args.biasing,
         allocator=args.allocator,
-        transport=args.transport,
         kernel=args.kernel,
         pool_kind=args.pool,
         shard_timeout=args.shard_timeout,
@@ -348,12 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="alias of --max-iterations: total lifetime budget of an "
         "adaptive run",
-    )
-    mc.add_argument(
-        "--reap-shm",
-        action="store_true",
-        help="unlink stale shared-memory segments left by dead runs (crashed "
-        "parents), print what was reclaimed and exit",
     )
 
     sweep_parser = subparsers.add_parser(
@@ -588,11 +571,6 @@ def _scheme_policy(args: argparse.Namespace):
 
 
 def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
-    if args.reap_shm:
-        reaped = reap_stale_segments()
-        lines = [f"reaped {len(reaped)} stale shared-memory segment(s)"]
-        lines.extend(f"  {name}" for name in reaped)
-        return "\n".join(lines), 0
     if args.spares is not None and args.policy is not None:
         raise ConfigurationError(
             "--policy and --spares are mutually exclusive: --spares builds a "

@@ -35,7 +35,6 @@ from repro.core.montecarlo.config import (
     DEFAULT_ITERATIONS,
     EXECUTORS,
     POOLS,
-    TRANSPORTS,
     MonteCarloConfig,
 )
 from repro.core.montecarlo.engine_bridge import (
@@ -67,16 +66,9 @@ from repro.core.montecarlo.parallel import (
     run_shard,
     run_sharded,
     run_stacked_shard,
-    run_stacked_shard_shm,
     worker_pool,
 )
-from repro.core.montecarlo.transport import (
-    GridPlanesSpec,
-    SharedGridPlanes,
-    reap_stale_segments,
-    resolve_stacked_transport,
-    shared_memory_available,
-)
+from repro.core.montecarlo.transport import resolve_stacked_transport
 from repro.core.montecarlo.results import (
     EpisodeTrace,
     IterationResult,
@@ -110,11 +102,9 @@ __all__ = [
     "FAULT_PLAN_ENV",
     "KERNELS",
     "POOLS",
-    "TRANSPORTS",
     "EpisodeTrace",
     "FaultInjected",
     "FaultPlan",
-    "GridPlanesSpec",
     "IterationResult",
     "MonteCarloConfig",
     "MonteCarloResult",
@@ -123,7 +113,6 @@ __all__ = [
     "ShardFault",
     "ShardJournal",
     "ShardSummary",
-    "SharedGridPlanes",
     "StackedShard",
     "compiled_available",
     "effective_shard_size",
@@ -139,7 +128,6 @@ __all__ = [
     "merge_totals",
     "plan_shards",
     "plan_stacked_shards",
-    "reap_stale_segments",
     "render_timeline",
     "run_digest",
     "replay_stacked_point",
@@ -156,12 +144,10 @@ __all__ = [
     "run_sharded",
     "run_stacked",
     "run_stacked_shard",
-    "run_stacked_shard_shm",
     "run_traced_on_engine",
     "segment_point_records",
     "warmup_fused",
     "segment_point_summaries",
-    "shared_memory_available",
     "simulate_conventional",
     "simulate_failover",
     "summarise_batch",

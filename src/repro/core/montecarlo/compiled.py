@@ -1,8 +1,7 @@
 """Compiled kernel backend behind the bit-identity oracle pattern.
 
 numba is an *optional* dependency (``pip install .[compiled]``); this module
-is the import guard between it and the rest of the engine, mirroring how
-``transport.py`` guards :mod:`multiprocessing.shared_memory`:
+is the import guard between it and the rest of the engine:
 
 - :func:`compiled_available` probes ``import numba`` once and caches the
   verdict for the process.

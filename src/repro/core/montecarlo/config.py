@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, Optional, Tuple, Union
 
 from repro.core.parameters import AvailabilityParameters
@@ -21,23 +21,16 @@ DEFAULT_ITERATIONS = 20_000
 #: whenever the policy has a kernel and no trace was requested.
 EXECUTORS = ("auto", "batch", "scalar")
 
-#: Accepted stacked-grid parameter transports: ``"auto"`` prefers the
-#: zero-copy shared-memory planes and falls back to pickling, ``"shm"``
-#: demands shared memory, ``"pickle"`` pins the per-shard rebuild path
-#: (the bit-identity oracle; also the spawn-only-platform fallback).
-#: Re-exported from the transport module, the single source of truth.
-from repro.core.montecarlo.transport import TRANSPORTS  # noqa: E402
-
 #: Accepted kernel backends: ``"auto"`` prefers the compiled (numba) row
 #: scans when importable and falls back to numpy with a one-time warning,
 #: ``"numpy"`` pins the pure-numpy kernels (the bit-identity oracle),
 #: ``"compiled"`` demands numba.  Re-exported from the compiled module,
-#: the single source of truth (mirrors the TRANSPORTS re-export above).
+#: the single source of truth.
 from repro.core.montecarlo.compiled import KERNELS  # noqa: E402
 
 #: Accepted shard-executor pools: ``"process"`` fans shards out over worker
 #: processes (today's default), ``"thread"`` over in-process threads that
-#: share the stacked grid planes outright (no segment, no pickling),
+#: share the stacked grid planes outright (no pickling, no rebuild),
 #: ``"serial"`` runs the identical shard plan sequentially in-process even
 #: with ``workers > 1`` (the pool oracle).  All three are bit-identical:
 #: shard decomposition, spawn-indexed draws and CGL merge order are pool
@@ -57,9 +50,6 @@ ALLOCATORS = ("uniform", "ci_width")
 #: a ready :class:`~repro.core.policies.base.SimulationPolicy` instance.
 PolicyRef = Union[str, PolicyKind, SimulationPolicy]
 
-#: Sentinel distinguishing "argument not passed" from an explicit ``None``.
-_UNSET = object()
-
 #: Role tags of the config fields (``dataclasses.field`` metadata ``"role"``).
 #: Each field carries exactly one; the hand-written lists that used to
 #: enumerate fields are derived from (or tested against) these tags.
@@ -70,7 +60,7 @@ _UNSET = object()
 #:   computes, so it belongs in the resume digest of
 #:   :func:`repro.core.montecarlo.journal.run_digest`;
 #: * ``execution`` — shared by a stacked grid but never changes a number
-#:   (worker count, pool, transport, retries, journal path).
+#:   (worker count, pool, retries, journal path).
 PER_POINT = "per_point"
 SHARD_CONTENT = "shard_content"
 EXECUTION = "execution"
@@ -151,14 +141,6 @@ class MonteCarloConfig:
     max_iterations:
         Iteration ceiling of an adaptive run; ``None`` uses
         ``DEFAULT_ADAPTIVE_CEILING``.  Ignored without ``target_half_width``.
-    transport:
-        How a stacked sweep's parameter planes reach the shard workers:
-        ``"auto"`` (zero-copy shared-memory planes whenever usable,
-        pickling otherwise), ``"shm"`` (demand shared memory; error when
-        unavailable) or ``"pickle"`` (per-shard scalar rebuild — the
-        retained fallback and bit-identity oracle).  Both transports are
-        byte-identical in results; single-point (non-stacked) runs ignore
-        the setting because only scalars ever cross the boundary there.
     biasing:
         Failure-biasing factor of the importance-sampled kernels: failure
         rates are inflated by this factor (> 0) and every lifetime carries a
@@ -190,9 +172,12 @@ class MonteCarloConfig:
         Which executor the sharded path fans shards out over when
         ``workers > 1``: ``"process"`` (worker processes, today's
         behaviour), ``"thread"`` (in-process threads sharing the stacked
-        grid planes outright — no segment, no pickling) or ``"serial"``
-        (the identical shard plan run sequentially in-process, the pool
-        oracle).  Bit-identical across pools and worker counts.
+        grid planes outright) or ``"serial"`` (the identical shard plan run
+        sequentially in-process, the pool oracle).  The pool also decides
+        how a stacked grid's rows reach each shard: in-process shards slice
+        one grid materialised per sweep, process workers rebuild theirs
+        from the points' scalars.  Bit-identical across pools and worker
+        counts.
     shard_timeout:
         Seconds the sharded collector waits for the next unfinished shard
         (in plan order) before declaring it hung: the pool is torn down,
@@ -237,7 +222,6 @@ class MonteCarloConfig:
     shard_size: Optional[int] = _tagged(SHARD_CONTENT, None)
     target_half_width: Optional[float] = _tagged(SHARD_CONTENT, None)
     max_iterations: Optional[int] = _tagged(PER_POINT, None)
-    transport: str = _tagged(EXECUTION, "auto")
     biasing: Optional[float] = _tagged(SHARD_CONTENT, None)
     allocator: str = _tagged(SHARD_CONTENT, "uniform")
     kernel: str = _tagged(SHARD_CONTENT, "auto")
@@ -262,10 +246,6 @@ class MonteCarloConfig:
         if self.executor not in EXECUTORS:
             raise ConfigurationError(
                 f"executor must be one of {EXECUTORS}, got {self.executor!r}"
-            )
-        if self.transport not in TRANSPORTS:
-            raise ConfigurationError(
-                f"transport must be one of {TRANSPORTS}, got {self.transport!r}"
             )
         if int(self.workers) < 1:
             raise ConfigurationError(f"workers must be at least 1, got {self.workers!r}")
@@ -310,12 +290,6 @@ class MonteCarloConfig:
                     f"kernel={self.kernel!r} runs on the batch path and "
                     "cannot collect an event trace"
                 )
-        if self.pool in ("thread", "serial") and self.transport == "shm":
-            raise ConfigurationError(
-                "transport='shm' crosses a process boundary; thread and "
-                "serial pools share the stacked grid planes directly "
-                "(use transport='auto')"
-            )
         if self.biasing is not None:
             if not float(self.biasing) > 0.0:
                 raise ConfigurationError(
@@ -385,93 +359,6 @@ class MonteCarloConfig:
         if isinstance(self.policy, PolicyKind):
             return self.policy.value
         return str(self.policy)
-
-    def with_iterations(self, n_iterations: int) -> "MonteCarloConfig":
-        """Return a copy with a different iteration count."""
-        return replace(self, n_iterations=int(n_iterations))
-
-    def with_policy(self, policy: PolicyRef) -> "MonteCarloConfig":
-        """Return a copy with a different replacement policy."""
-        return replace(self, policy=policy)
-
-    def with_executor(self, executor: str) -> "MonteCarloConfig":
-        """Return a copy with a different execution style."""
-        return replace(self, executor=str(executor))
-
-    def with_workers(self, workers: int, shard_size=_UNSET) -> "MonteCarloConfig":
-        """Return a copy configured for the sharded executor.
-
-        A pinned ``shard_size`` is preserved unless explicitly overridden
-        (pass ``None`` to unpin), so changing the worker count never
-        silently changes the shard decomposition of a reference config.
-        """
-        return replace(
-            self,
-            workers=int(workers),
-            shard_size=self.shard_size if shard_size is _UNSET else shard_size,
-        )
-
-    def with_target_half_width(
-        self, target_half_width: float, max_iterations=_UNSET
-    ) -> "MonteCarloConfig":
-        """Return a copy that stops adaptively at the given interval width.
-
-        A pinned ``max_iterations`` ceiling is preserved unless explicitly
-        overridden (pass ``None`` to restore the default ceiling).
-        """
-        return replace(
-            self,
-            target_half_width=float(target_half_width),
-            max_iterations=self.max_iterations if max_iterations is _UNSET else max_iterations,
-        )
-
-    def with_biasing(self, biasing: Optional[float]) -> "MonteCarloConfig":
-        """Return a copy with a different failure-biasing factor."""
-        return replace(self, biasing=None if biasing is None else float(biasing))
-
-    def with_allocator(self, allocator: str) -> "MonteCarloConfig":
-        """Return a copy with a different adaptive-round budget allocator."""
-        return replace(self, allocator=str(allocator))
-
-    def with_params(self, params: AvailabilityParameters) -> "MonteCarloConfig":
-        """Return a copy with a different parameter set."""
-        return replace(self, params=params)
-
-    def with_transport(self, transport: str) -> "MonteCarloConfig":
-        """Return a copy with a different stacked-grid parameter transport."""
-        return replace(self, transport=str(transport))
-
-    def with_kernel(self, kernel: str) -> "MonteCarloConfig":
-        """Return a copy with a different kernel backend."""
-        return replace(self, kernel=str(kernel))
-
-    def with_pool(self, pool: str) -> "MonteCarloConfig":
-        """Return a copy with a different shard-executor pool."""
-        return replace(self, pool=str(pool))
-
-    def with_retries(
-        self,
-        max_shard_retries: int,
-        shard_timeout=_UNSET,
-        retry_backoff=_UNSET,
-    ) -> "MonteCarloConfig":
-        """Return a copy with different shard retry/timeout settings."""
-        return replace(
-            self,
-            max_shard_retries=int(max_shard_retries),
-            shard_timeout=self.shard_timeout if shard_timeout is _UNSET else shard_timeout,
-            retry_backoff=self.retry_backoff if retry_backoff is _UNSET else retry_backoff,
-        )
-
-    def with_journal(
-        self, checkpoint: Optional[str] = None, resume: Optional[str] = None
-    ) -> "MonteCarloConfig":
-        """Return a copy with a checkpoint/resume journal path."""
-        return replace(self, checkpoint=checkpoint, resume=resume)
-
-    def with_seed(self, seed: int) -> "MonteCarloConfig":
-        """Return a copy with a fixed master seed."""
-        return replace(self, seed=int(seed))
 
     def label(self) -> str:
         """Return a short description used in result tables."""

@@ -26,8 +26,8 @@ size, CRN mode, resolved kernel, biasing, an explicit scalar executor,
 and the adaptive controls (target, ceilings, allocator, confidence): the
 fields :class:`~repro.core.montecarlo.config.MonteCarloConfig` tags
 ``shard_content``.  Execution knobs that provably do **not** change
-results — worker count, pool kind, transport — are excluded, so a
-journal written by a 4-worker shm run resumes under a single serial
+results — worker count and pool kind — are excluded, so a journal
+written by a 4-worker process-pool run resumes under a single serial
 worker (and vice versa).  The one exception is the scalar
 path with an unpinned ``shard_size``, whose decomposition derives from the
 worker count; there the worker count *is* part of the digest.  ``compiled``

@@ -63,14 +63,7 @@ from repro.core.montecarlo.journal import (
     summary_parts_from_record,
 )
 from repro.core.montecarlo.results import MonteCarloResult, merge_totals
-from repro.core.montecarlo.transport import (
-    GridPlanesSpec,
-    SharedGridPlanes,
-    attach_grid_slice,
-    attach_segment_cached,
-    reap_stale_segments,
-    resolve_stacked_transport,
-)
+from repro.core.montecarlo.transport import resolve_stacked_transport
 from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.registry import resolve_policy
 from repro.core.policies.stacked import StackedParams, stack_parameter_points
@@ -265,10 +258,12 @@ def _make_pool(workers: int, kind: str = "process") -> Executor:
     process with framework state initialised (numpy is already imported)
     can crash workers, which is why CPython's default there is spawn.
     Every worker runs :func:`_worker_initializer` before its first shard.
+    On the stacked path each process worker rebuilds its shard's rows from
+    the covered points' scalars.
 
     ``kind="thread"`` builds a :class:`ThreadPoolExecutor` instead: shards
     run in-process, sharing the parent's module state and — on the stacked
-    path — the materialised grid planes outright, with no BLAS re-pinning
+    path — slicing the parent's materialised grid, with no BLAS re-pinning
     needed (the threads inherit the parent's configuration).
     """
     if kind == "thread":
@@ -285,7 +280,8 @@ def _crosses_process_boundary(pool: Optional[Executor]) -> bool:
 
     Thread pools keep shards in-process (their futures see the parent's
     memory directly); anything else pooled is treated as a process boundary,
-    which errs on the side of the transports that always work.
+    which errs on the side of rebuilding rows from pickled scalars, the
+    path that always works.
     """
     return pool is not None and not isinstance(pool, ThreadPoolExecutor)
 
@@ -380,8 +376,8 @@ class _PoolSupervisor:
 
         The failed pool's queued futures are cancelled and its worker
         processes terminated — a hung worker would otherwise keep its
-        stuck shard (and on fork platforms its copy of the planes) alive
-        forever.  In-flight shards are the caller's to resubmit.
+        stuck shard alive forever.  In-flight shards are the caller's to
+        resubmit.
         """
         if self._external:
             return None
@@ -844,10 +840,10 @@ def _simulate_stacked_shard(
     Exactly like :func:`run_shard`, the stream family is rebuilt from
     ``(master_entropy, stream_index)`` alone, so the draws are identical
     in-process, forked or spawned — and identical for any worker count and
-    any transport, because every transport feeds the kernel value-identical
-    parameter rows.  ``kernel`` is the parent-resolved backend; the context
-    is entered here, inside the (possibly thread-pooled) callable, because
-    the routing is thread-local.
+    any pool, because the in-process grid view and the worker-side rebuild
+    feed the kernel value-identical parameter rows.  ``kernel`` is the
+    parent-resolved backend; the context is entered here, inside the
+    (possibly thread-pooled) callable, because the routing is thread-local.
     """
     check_fault(shard.stream_index)
     streams = RandomStreams(master_entropy).spawn_child(shard.stream_index)
@@ -871,20 +867,18 @@ def run_stacked_shard(
     biasing: Optional[float] = None,
     kernel: str = "numpy",
 ) -> np.ndarray:
-    """Pickle-transport worker entry: rebuild the slice from scalars.
+    """Process-pool worker entry: rebuild the slice from scalars.
 
     ``point_params`` holds one scalar parameter point per entry of
     ``shard.point_indices``; the worker expands them into its own
     :class:`StackedParams` slice (``shard.counts`` rows each), so only a
     handful of scalars — never grid-sized arrays — cross the process
-    boundary.  This is the fallback for hosts without usable shared memory
-    and the bit-identity oracle of the zero-copy transport; the summary
-    comes back as one :data:`~repro.core.montecarlo.batch.POINT_SUMMARY_DTYPE`
-    record array either way.
+    boundary.  The summary comes back as one
+    :data:`~repro.core.montecarlo.batch.POINT_SUMMARY_DTYPE` record array.
 
     Periodic-scheme policies (the erasure family) re-resolve their scheme
     against each point worker-side, so the rebuilt slice carries the same
-    per-row scheme planes the view/shm transports materialise parent-side.
+    per-row scheme planes the in-process view materialises parent-side.
     """
     schemes = (
         [policy.scheme] * len(point_params) if policy.has_periodic_checks else None
@@ -894,37 +888,6 @@ def run_stacked_shard(
         policy, grid_slice, horizon_hours, master_entropy, shard,
         biasing=biasing, kernel=kernel,
     )
-
-
-def run_stacked_shard_shm(
-    policy: SimulationPolicy,
-    spec: GridPlanesSpec,
-    horizon_hours: float,
-    master_entropy: int,
-    shard: StackedShard,
-    biasing: Optional[float] = None,
-    kernel: str = "numpy",
-) -> np.ndarray:
-    """Shared-memory worker entry: attach the planes, view the row range.
-
-    The parent materialised the whole sweep's parameter planes once
-    (:class:`~repro.core.montecarlo.transport.SharedGridPlanes`); this
-    worker attaches by name and addresses its shard as read-only views of
-    rows ``[shard.start, shard.stop)`` — zero copies, and the only pickled
-    payload per shard is the tiny spec.
-    """
-    segment = attach_segment_cached(spec.name)
-    grid_slice = attach_grid_slice(spec, segment.buf, shard.start, shard.stop)
-    try:
-        return _simulate_stacked_shard(
-            policy, grid_slice, horizon_hours, master_entropy, shard,
-            biasing=biasing, kernel=kernel,
-        )
-    finally:
-        # Drop the buffer views promptly; the cached attachment itself is
-        # reused by this worker's next shard and replaced (closed) when a
-        # different sweep's segment comes along.
-        del grid_slice
 
 
 #: Config fields every point of a stacked grid must share: all but the
@@ -984,7 +947,6 @@ def _run_stacked_shards(
     stats: _ShardStats,
     mode: str = "pickle",
     grid: Optional[StackedParams] = None,
-    spec: Optional[GridPlanesSpec] = None,
     biasing: Optional[float] = None,
     kernel: str = "numpy",
 ) -> Iterator[np.ndarray]:
@@ -994,15 +956,14 @@ def _run_stacked_shards(
     scalar points and rebuilds the slice worker-side, ``"view"`` slices the
     materialised ``grid`` — in-process when unpooled, per-submission when the
     pool is a thread pool (threads see the parent's planes directly; no
-    segment, no pickling, no rebuild) — and ``"shm"`` submits only the
-    planes ``spec`` and workers attach the shared segment.  All three feed
-    the kernels value-identical rows, so the records — and everything merged
-    from them — are byte-identical across transports.
+    pickling, no rebuild).  Both feed the kernels value-identical rows, so
+    the records — and everything merged from them — are byte-identical
+    across modes.
 
     Execution (plan-order collection, retry/timeout/rebuild semantics)
-    delegates to :func:`_gather_shards`; every transport resubmits cleanly
-    because a shard's inputs — scalar points, a grid view, or the planes
-    spec — are parent-owned and survive any worker's death.
+    delegates to :func:`_gather_shards`; either mode resubmits cleanly
+    because a shard's inputs — scalar points or a grid view — are
+    parent-owned and survive any worker's death.
     """
 
     def _params(shard: StackedShard):
@@ -1030,11 +991,6 @@ def _run_stacked_shards(
             return pool.submit(
                 _simulate_stacked_shard, policy,
                 grid.slice(shard.start, shard.stop),
-                horizon_hours, master_entropy, shard, biasing, kernel,
-            )
-        if mode == "shm":
-            return pool.submit(
-                run_stacked_shard_shm, policy, spec,
                 horizon_hours, master_entropy, shard, biasing, kernel,
             )
         return pool.submit(
@@ -1152,14 +1108,12 @@ def run_stacked_sharded(
     contract.  ``pool`` lets a caller share one executor across several
     grids; its lifecycle then belongs to the caller.
 
-    The sweep's parameter planes cross the process boundary once, not once
-    per shard: on the default ``transport="auto"`` the grid's broadcast
-    arrays are materialised into a context-managed shared-memory segment
-    (unlinked on every exit path) and workers attach read-only row-range
-    views; shard summaries come back as fixed-width record arrays merged
-    with array ops in plan order.  ``transport="pickle"`` retains the
-    per-shard scalar rebuild — the spawn-platform fallback and the
-    bit-identity oracle the shm path is verified against.
+    The pool decides how a shard gets its rows
+    (:func:`~repro.core.montecarlo.transport.resolve_stacked_transport`):
+    in-process shards slice one grid materialised per sweep, process-pool
+    shards rebuild theirs from the covered points' scalars.  Shard
+    summaries come back as fixed-width record arrays merged with array ops
+    in plan order, so the results do not depend on the pool.
     """
     policy, first = _validate_stacked(configs)
     if first.target_half_width is not None and crn:
@@ -1186,7 +1140,7 @@ def run_stacked_sharded(
     )
 
     def _run_plan(
-        plan: Sequence[StackedShard], mode: str, grid=None, spec=None
+        plan: Sequence[StackedShard], mode: str, grid=None
     ) -> List[Optional[np.ndarray]]:
         """Run one shard plan: splice journaled records, gather the rest.
 
@@ -1207,7 +1161,7 @@ def run_stacked_sharded(
         gathered = _run_stacked_shards(
             policy, configs, horizon, master_entropy,
             [shard for _, shard in to_run], supervisor, stats,
-            mode=mode, grid=grid, spec=spec, biasing=first.biasing,
+            mode=mode, grid=grid, biasing=first.biasing,
             kernel=kernel,
         )
         try:
@@ -1226,48 +1180,35 @@ def run_stacked_sharded(
         return parts
 
     record_parts: List[np.ndarray] = []
-    planes: Optional[SharedGridPlanes] = None
     try:
         supervisor.ensure()
-        # Transport resolution keys on whether shards actually leave the
-        # process: a thread pool (own or caller-shared) keeps them here, so
-        # it gets the zero-copy "view" planes — the whole point of the
-        # thread executor — instead of a shared-memory segment.
+        # The mode keys on whether shards actually leave the process: a
+        # thread pool (own or caller-shared) keeps them here, so it slices
+        # the one materialised grid — the whole point of the thread
+        # executor — instead of rebuilding rows per shard.
         mode = resolve_stacked_transport(
-            first.transport, pooled=_crosses_process_boundary(supervisor.pool)
+            pooled=_crosses_process_boundary(supervisor.pool)
         )
-        grid = spec = None
-        schemes = (
-            [policy.scheme] * len(configs) if policy.has_periodic_checks else None
-        )
+        grid = None
         if mode == "view":
             # Materialise the whole grid's broadcast planes exactly once
             # per sweep; in-process shards address them as row-range views.
+            schemes = (
+                [policy.scheme] * len(configs) if policy.has_periodic_checks else None
+            )
             grid = stack_parameter_points(
                 [c.params for c in configs], counts, schemes=schemes
             )
-        elif mode == "shm":
-            # Recover segments a SIGKILL'd earlier run left behind before
-            # creating this sweep's own (atexit-registered) planes.
-            reap_stale_segments()
-            # Write the planes straight into the shared segment — one pass
-            # over the grid bytes, no intermediate full-size arrays.
-            planes = SharedGridPlanes.from_points(
-                [c.params for c in configs], counts, schemes=schemes
-            )
-            spec = planes.spec
         record_parts.extend(
-            part
-            for part in _run_plan(shards, mode, grid=grid, spec=spec)
-            if part is not None
+            part for part in _run_plan(shards, mode, grid=grid) if part is not None
         )
         if first.target_half_width is not None and not stats.interrupted:
             # CI-width-driven adaptive allocation: between rounds, merge
             # what every point has so far and dispatch the next round's
             # lifetimes to the points whose intervals are still too wide.
             # Follow-up rounds rebuild their rows from scalars (the pickle
-            # transport) because the view/shm planes were laid out for the
-            # initial uniform plan only; stream indices continue the global
+            # mode) because the view grid was laid out for the initial
+            # uniform plan only; stream indices continue the global
             # shard sequence, so the whole run — rounds, allocations and
             # draws — is a pure function of the master seed.  Resumed runs
             # replay the identical allocation: journaled shards feed the
@@ -1298,10 +1239,6 @@ def run_stacked_sharded(
         supervisor.abort()
         raise
     finally:
-        # The planes outlive every shard but never the sweep: unlink on
-        # all exit paths so no /dev/shm segment survives a failure.
-        if planes is not None:
-            planes.dispose()
         supervisor.close()
         if journal is not None:
             journal.close()
@@ -1431,9 +1368,9 @@ def replay_stacked_point(
     horizon = float(first.horizon_hours)
     # Replay always rebuilds the intersecting shards' rows from scalars
     # (the pickle path): it touches only those rows, instead of
-    # materialising the whole grid's planes to audit one point.  The
-    # transports are value-identical, so the replayed result still equals
-    # the grid run's entry bit for bit, whatever transport that run used.
+    # materialising the whole grid's planes to audit one point.  Both
+    # modes are value-identical, so the replayed result still equals the
+    # grid run's entry bit for bit, whatever pool that run used.
     record_parts = list(
         _run_stacked_shards(
             policy, configs, horizon, master_entropy, shards,

@@ -31,7 +31,11 @@ import numpy as np
 
 from repro.core.montecarlo.batch import run_batch
 from repro.core.montecarlo.parallel import run_sharded
-from repro.core.montecarlo.config import MonteCarloConfig, PolicyRef
+from repro.core.montecarlo.config import (
+    MonteCarloConfig,
+    PolicyRef,
+    config_from_options,
+)
 from repro.core.montecarlo.results import (
     EpisodeTrace,
     IterationResult,
@@ -166,24 +170,15 @@ def summarise_iterations(
 def estimate_availability(
     params: AvailabilityParameters,
     policy: PolicyRef = PolicyKind.CONVENTIONAL,
-    n_iterations: int = 20_000,
-    horizon_hours: float = 10 * 8760.0,
     seed: Optional[int] = 0,
-    confidence: float = 0.99,
-    executor: str = "auto",
-    workers: int = 1,
-    target_half_width: Optional[float] = None,
+    **options,
 ) -> MonteCarloResult:
-    """One-call convenience wrapper around :func:`run_monte_carlo`."""
-    config = MonteCarloConfig(
-        params=params,
-        policy=policy,
-        horizon_hours=horizon_hours,
-        n_iterations=n_iterations,
-        confidence=confidence,
-        seed=seed,
-        executor=executor,
-        workers=workers,
-        target_half_width=target_half_width,
+    """One-call convenience wrapper around :func:`run_monte_carlo`.
+
+    ``options`` are :class:`MonteCarloConfig` fields, taken as in
+    :func:`~repro.core.montecarlo.config.config_from_options`; the one
+    default that differs from the config's is ``seed=0``.
+    """
+    return run_monte_carlo(
+        config_from_options(params=params, policy=policy, seed=seed, **options)
     )
-    return run_monte_carlo(config)

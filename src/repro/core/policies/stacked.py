@@ -24,11 +24,12 @@ Lifetimes of points with fewer disks than the widest point simply carry
 serves a geometry-mixed grid.
 
 The sharded executor in :mod:`repro.core.montecarlo.parallel` splits the
-flattened ``point x lifetime`` axis into independent shards and has each
-worker expand its own slice via :func:`stack_parameter_points` from the
+flattened ``point x lifetime`` axis into independent shards.  A process
+worker expands its own slice via :func:`stack_parameter_points` from the
 covered points' scalars (only scalars cross the process boundary, never
-grid-sized arrays); ``StackedParams.slice`` additionally cuts a contiguous
-row range out of an existing grid for direct grid surgery.
+grid-sized arrays); in-process shards (no pool, serial or thread pools)
+run on ``StackedParams.slice`` row ranges of one grid materialised per
+sweep.
 """
 
 from __future__ import annotations
@@ -43,21 +44,16 @@ from repro.core.parameters import AvailabilityParameters
 from repro.exceptions import ConfigurationError
 
 __all__ = [
-    "OPTIONAL_PLANE_FIELD",
     "SCHEME_PLANE_FIELDS",
     "STACKED_PLANE_FIELDS",
     "RowExponential",
     "RowWeibull",
     "StackedParams",
     "stack_parameter_points",
-    "stacked_from_planes",
 ]
 
-#: The per-lifetime parameter planes of a grid, in canonical segment-layout
-#: order: ``(field name, dtype)`` of every mandatory ``StackedParams`` array.
-#: The shared-memory transport (:mod:`repro.core.montecarlo.transport`) lays
-#: a sweep's planes out in exactly this order, so the spec doubles as the
-#: wire format — change it and the attach protocol changes with it.
+#: The per-lifetime parameter planes of a grid: ``(field name, dtype)`` of
+#: every mandatory ``StackedParams`` array.
 STACKED_PLANE_FIELDS = (
     ("disk_failure_rate", np.float64),
     ("disk_repair_rate", np.float64),
@@ -70,13 +66,9 @@ STACKED_PLANE_FIELDS = (
     ("n_disks_rows", np.int64),
 )
 
-#: The optional per-row spare-pool plane, appended after the mandatory ones
-#: when a grid carries per-row pool sizes.
-OPTIONAL_PLANE_FIELD = ("n_spares_rows", np.int64)
-
 #: The optional per-row redundancy-scheme planes of erasure-coded grids,
-#: appended (in this order, all three together) after the spare plane when
-#: present.  ``n_shares`` rides the mandatory ``n_disks_rows`` plane.
+#: present all three together or not at all.  ``n_shares`` rides the
+#: mandatory ``n_disks_rows`` plane.
 SCHEME_PLANE_FIELDS = (
     ("k_rows", np.int64),
     ("repair_threshold_rows", np.int64),
@@ -194,16 +186,7 @@ class StackedParams:
 
     def __post_init__(self) -> None:
         n = self.disk_failure_rate.shape
-        for name in (
-            "disk_repair_rate",
-            "ddf_recovery_rate",
-            "human_error_rate",
-            "spare_replacement_rate",
-            "crash_rate",
-            "hep",
-            "failure_shape",
-            "n_disks_rows",
-        ):
+        for name, _ in STACKED_PLANE_FIELDS:
             if getattr(self, name).shape != n:
                 raise ConfigurationError(
                     f"stacked field {name!r} does not match the grid length"
@@ -306,25 +289,6 @@ class StackedParams:
             repair_threshold_rows=_cut(self.repair_threshold_rows),
             check_period_rows=_cut(self.check_period_rows),
         )
-
-
-def stacked_from_planes(planes: dict) -> StackedParams:
-    """Build a grid directly from per-field arrays (views included).
-
-    ``planes`` maps every :data:`STACKED_PLANE_FIELDS` name — plus
-    optionally ``n_spares_rows`` — to a length-matched 1-d array.  The
-    arrays are adopted as-is, so zero-copy views (row ranges of a
-    shared-memory segment, slices of a materialised sweep grid) flow
-    straight into the kernels without a repack.
-    """
-    missing = [name for name, _ in STACKED_PLANE_FIELDS if name not in planes]
-    if missing:
-        raise ConfigurationError(f"stacked planes missing fields: {missing}")
-    return StackedParams(
-        **{name: planes[name] for name, _ in STACKED_PLANE_FIELDS},
-        n_spares_rows=planes.get(OPTIONAL_PLANE_FIELD[0]),
-        **{name: planes.get(name) for name, _ in SCHEME_PLANE_FIELDS},
-    )
 
 
 def stack_parameter_points(

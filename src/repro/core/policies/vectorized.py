@@ -645,7 +645,7 @@ def batch_conventional(
     :class:`_Arena`.  ``compact=False`` retains the original full-width
     gather discipline; both paths consume the random stream identically and
     return bit-identical batches (the equivalence is pinned by
-    ``tests/core/test_transport.py``).
+    ``tests/core/test_transport.py::TestCompactionEquivalence``).
 
     ``biasing`` (a factor > 0, scalar or per-lifetime array) switches the
     kernel to failure-biased importance sampling: failure rates are

@@ -220,7 +220,7 @@ class TestErasureBothFaces:
 class TestStackedMixedGeometry:
     """One stacked kernel invocation covering heterogeneous k-of-N layouts."""
 
-    def _configs(self, workers=1, transport="auto"):
+    def _configs(self, workers=1, pool="process"):
         grid = [
             (erasure_params(3, 10, rate=1e-4, hep=0.1)),
             (erasure_params(2, 5, rate=2e-4, hep=0.1)),
@@ -229,8 +229,7 @@ class TestStackedMixedGeometry:
         return [
             MonteCarloConfig(
                 params=params, policy="erasure", n_iterations=500,
-                horizon_hours=HORIZON, seed=42, workers=workers,
-                transport=transport,
+                horizon_hours=HORIZON, seed=42, workers=workers, pool=pool,
             )
             for params in grid
         ]
@@ -246,12 +245,14 @@ class TestStackedMixedGeometry:
 
     def test_worker_count_and_transport_do_not_change_the_draws(self):
         baseline = [r.availability for r in run_stacked(self._configs())]
-        for workers, transport in ((2, "pickle"), (2, "auto")):
+        # A process pool rebuilds rows from pickled scalars, a thread pool
+        # slices the in-process grid.
+        for workers, pool in ((2, "process"), (2, "thread")):
             got = [
                 r.availability
-                for r in run_stacked(self._configs(workers=workers, transport=transport))
+                for r in run_stacked(self._configs(workers=workers, pool=pool))
             ]
-            assert got == baseline, f"workers={workers} transport={transport}"
+            assert got == baseline, f"workers={workers} pool={pool}"
 
     def test_replay_reproduces_one_point_bit_for_bit(self):
         configs = self._configs()

@@ -4,15 +4,14 @@ Covers the retry/timeout/backoff layer (crashed, hung and killed shards
 recompute bit-identical summaries), worker-loss recovery on process pools,
 graceful interruption into flagged partial results, the durable
 checkpoint/resume journal (resumed runs bit-identical to uninterrupted
-ones, across worker counts), the deterministic fault-injection harness
-itself, and the shared-memory orphan reaper.
+ones, across worker counts) and the deterministic fault-injection
+harness itself.
 """
 
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,6 @@ from repro.core.montecarlo import (
     run_monte_carlo,
     run_stacked,
 )
-from repro.core.montecarlo.transport import active_segments, reap_stale_segments
 from repro.core.parameters import paper_parameters
 from repro.core.policies import get_policy
 from repro.exceptions import ConfigurationError
@@ -116,15 +114,15 @@ class TestConfigValidation:
         assert not Path("never-written.journal").exists()
 
     def test_with_retries_helper(self):
-        config = _config().with_retries(3, shard_timeout=1.5)
+        config = replace(_config(), max_shard_retries=3, shard_timeout=1.5)
         assert config.max_shard_retries == 3
         assert config.shard_timeout == 1.5
 
     def test_with_journal_helper(self):
-        config = _config().with_journal(checkpoint="x.journal")
+        config = replace(_config(), checkpoint="x.journal")
         assert config.checkpoint == "x.journal"
         assert config.journal_path == "x.journal"
-        resumed = _config().with_journal(resume="x.journal")
+        resumed = replace(_config(), resume="x.journal")
         assert resumed.journal_path == "x.journal"
 
 
@@ -358,7 +356,6 @@ class TestJournalIntegrity:
                 shard_size=config.shard_size,
                 workers=8,
                 pool="thread",
-                transport="pickle",
                 max_shard_retries=config.max_shard_retries,
                 retry_backoff=config.retry_backoff,
             )
@@ -386,83 +383,13 @@ class TestJournalIntegrity:
 
 
 class TestShmOrphanRecovery:
-    def test_parent_death_leaves_then_reaps_segment(self, tmp_path):
-        pytest.importorskip("multiprocessing.shared_memory")
-        if not Path("/dev/shm").is_dir():
-            pytest.skip("no /dev/shm mount")
-        script = (
-            "import os\n"
-            "from multiprocessing import resource_tracker, shared_memory\n"
-            "from repro.core.montecarlo.transport import SHM_SEGMENT_PREFIX\n"
-            "import secrets\n"
-            "name = f'{SHM_SEGMENT_PREFIX}{os.getpid():x}-{secrets.token_hex(4)}'\n"
-            "shm = shared_memory.SharedMemory(create=True, size=64, name=name)\n"
-            # A lone SIGKILL'd parent is cleaned up by its resource-tracker
-            # sidecar; the leak this reaper exists for is the whole process
-            # tree dying at once (OOM kill, container teardown).  Simulate
-            # that by unregistering before dying without cleanup.
-            "try:\n"
-            "    resource_tracker.unregister(shm._name, 'shared_memory')\n"
-            "except Exception:\n"
-            "    pass\n"
-            "print(name, flush=True)\n"
-            "os._exit(1)\n"
-        )
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-        name = proc.stdout.strip()
-        assert name, proc.stderr
-        assert name in active_segments()
-        reaped = reap_stale_segments()
-        assert name in reaped
-        assert name not in active_segments()
-
-    def test_reaper_spares_live_segments(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        if not Path("/dev/shm").is_dir():
-            pytest.skip("no /dev/shm mount")
-        from multiprocessing import shared_memory
-
-        from repro.core.montecarlo.transport import _segment_name
-
-        name = _segment_name()  # embeds this (live) process's pid
-        shm = shared_memory.SharedMemory(create=True, size=64, name=name)
-        try:
-            assert name not in reap_stale_segments()
-            assert name in active_segments()
-        finally:
-            shm.close()
-            shm.unlink()
-
-    def test_no_segments_leak_after_faulted_run(self, tmp_path):
-        from repro.core.montecarlo.transport import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("shared memory not usable on this host")
-        before = set(active_segments())
-        with fault_plan(FaultPlan.single(0, "kill"), tmp_path):
-            run_stacked(
-                _stacked_configs(workers=2, pool="process", transport="shm")
-            )
-        assert set(active_segments()) <= before
+    def test_no_segments_leak_after_faulted_run(self, tmp_path, no_shared_memory):
+        with no_shared_memory(), fault_plan(FaultPlan.single(0, "kill"), tmp_path):
+            faulted = run_stacked(_stacked_configs(workers=2, pool="process"))
+        assert sum(point.retried_shards for point in faulted) >= 1
 
 
 class TestCliFaultFlags:
-    def test_reap_shm_command(self, capsys):
-        from repro.cli import main
-
-        assert main(["mc", "--reap-shm"]) == 0
-        out = capsys.readouterr().out
-        assert "stale shared-memory segment" in out
-
     def test_mc_interrupt_exits_nonzero_with_hint(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ class TestFailoverSimulator:
             params=params, policy=PolicyKind.CONVENTIONAL,
             n_iterations=1500, horizon_hours=87_600.0, seed=11,
         )
-        fo_config = conv_config.with_policy(PolicyKind.AUTOMATIC_FAILOVER)
+        fo_config = replace(conv_config, policy=PolicyKind.AUTOMATIC_FAILOVER)
         conventional = run_monte_carlo(conv_config)
         failover = run_monte_carlo(fo_config)
         assert failover.unavailability < conventional.unavailability
@@ -136,7 +138,7 @@ class TestRunner:
             params=paper_parameters(disk_failure_rate=2e-4, hep=0.05),
             n_iterations=300, horizon_hours=50_000.0, seed=1,
         )
-        other = base.with_seed(2)
+        other = replace(base, seed=2)
         assert run_monte_carlo(base).totals != run_monte_carlo(other).totals
 
     def test_agreement_with_markov_at_exaggerated_rates(self):

@@ -7,6 +7,8 @@ statistical-consistency guarantees across all executors.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -105,15 +107,15 @@ class TestConfigValidation:
 
     def test_with_target_half_width_preserves_pinned_ceiling(self):
         pinned = _config(n_iterations=500, target_half_width=1e-4, max_iterations=50_000)
-        assert pinned.with_target_half_width(1e-6).max_iterations == 50_000
-        assert pinned.with_target_half_width(1e-6, max_iterations=None).max_iterations is None
-        assert pinned.with_target_half_width(1e-6, max_iterations=9000).max_iterations == 9000
+        assert replace(pinned, target_half_width=1e-6).max_iterations == 50_000
+        assert replace(pinned, target_half_width=1e-6, max_iterations=None).max_iterations is None
+        assert replace(pinned, target_half_width=1e-6, max_iterations=9000).max_iterations == 9000
 
     def test_with_workers_preserves_pinned_shard_size(self):
-        pinned = _config().with_workers(1, shard_size=500)
-        assert pinned.with_workers(4).shard_size == 500
-        assert pinned.with_workers(4, shard_size=None).shard_size is None
-        assert pinned.with_workers(4, shard_size=250).shard_size == 250
+        pinned = replace(_config(), workers=1, shard_size=500)
+        assert replace(pinned, workers=4).shard_size == 500
+        assert replace(pinned, workers=4, shard_size=None).shard_size is None
+        assert replace(pinned, workers=4, shard_size=250).shard_size == 250
 
     def test_trace_collection_incompatible_with_sharding(self):
         with pytest.raises(ConfigurationError):
@@ -127,7 +129,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="at least two iterations"):
             _config(n_iterations=1)
         with pytest.raises(ConfigurationError, match="at least two iterations"):
-            _config().with_iterations(1)
+            replace(_config(), n_iterations=1)
         batch = BatchLifetimes.zeros(1, HORIZON)
         with pytest.raises(ConfigurationError, match="at least two iterations"):
             summarise_batch(batch, _config())
@@ -138,8 +140,8 @@ class TestShardedDeterminism:
         # The decomposition depends only on shard_size, so a 1-worker and a
         # 3-worker run over the same shards are bit-identical.
         base = _config(n_iterations=1200)
-        serial = run_monte_carlo(base.with_workers(1, shard_size=300))
-        parallel = run_monte_carlo(base.with_workers(3, shard_size=300))
+        serial = run_monte_carlo(replace(base, workers=1, shard_size=300))
+        parallel = run_monte_carlo(replace(base, workers=3, shard_size=300))
         assert serial.availability == parallel.availability
         assert serial.interval.half_width == parallel.interval.half_width
         assert serial.totals == parallel.totals
@@ -196,10 +198,10 @@ class TestStatisticalConsistency:
         # the same scenario must have overlapping 99 % intervals.
         base = _config(policy=policy, n_iterations=1500, confidence=0.99)
         results = {
-            "scalar": run_monte_carlo(base.with_executor("scalar")),
-            "batch": run_monte_carlo(base.with_executor("batch")),
-            "sharded-1w": run_monte_carlo(base.with_workers(1, shard_size=500)),
-            "sharded-2w": run_monte_carlo(base.with_workers(2, shard_size=500)),
+            "scalar": run_monte_carlo(replace(base, executor="scalar")),
+            "batch": run_monte_carlo(replace(base, executor="batch")),
+            "sharded-1w": run_monte_carlo(replace(base, workers=1, shard_size=500)),
+            "sharded-2w": run_monte_carlo(replace(base, workers=2, shard_size=500)),
         }
         names = list(results)
         for i, a in enumerate(names):
@@ -214,9 +216,9 @@ class TestStatisticalConsistency:
         # kernels at the 99 % level.
         base = _config(n_iterations=800)
         scalar_sharded = run_monte_carlo(
-            base.with_executor("scalar").with_workers(2, shard_size=400)
+            replace(base, executor="scalar", workers=2, shard_size=400)
         )
-        batch_sharded = run_monte_carlo(base.with_workers(2, shard_size=400))
+        batch_sharded = run_monte_carlo(replace(base, workers=2, shard_size=400))
         low = max(scalar_sharded.interval.lower, batch_sharded.interval.lower)
         high = min(scalar_sharded.interval.upper, batch_sharded.interval.upper)
         assert low <= high
@@ -296,9 +298,9 @@ class TestAdaptiveStopping:
 class TestSeedEntropyReplay:
     def test_seed_entropy_recorded_on_all_paths(self):
         base = _config(n_iterations=200)
-        assert run_monte_carlo(base.with_executor("batch")).seed_entropy == 13
-        assert run_monte_carlo(base.with_executor("scalar")).seed_entropy == 13
-        assert run_monte_carlo(base.with_workers(2)).seed_entropy == 13
+        assert run_monte_carlo(replace(base, executor="batch")).seed_entropy == 13
+        assert run_monte_carlo(replace(base, executor="scalar")).seed_entropy == 13
+        assert run_monte_carlo(replace(base, workers=2)).seed_entropy == 13
 
     def test_unseeded_run_replayable_from_recorded_entropy(self):
         config = _config(n_iterations=400, seed=None, workers=1, shard_size=200)

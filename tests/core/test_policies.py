@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,7 @@ class TestConfigExecutor:
         assert MonteCarloConfig(policy=hot_spare_policy(3)).policy_name == "hot_spare_pool_k3"
 
     def test_with_executor(self):
-        config = MonteCarloConfig().with_executor("scalar")
+        config = replace(MonteCarloConfig(), executor="scalar")
         assert config.executor == "scalar"
 
 
@@ -109,8 +111,8 @@ class TestScalarBatchAgreement:
             horizon_hours=87_600.0,
             seed=42,
         )
-        scalar = run_monte_carlo(config.with_executor("scalar"))
-        batch = run_monte_carlo(config.with_executor("batch"))
+        scalar = run_monte_carlo(replace(config, executor="scalar"))
+        batch = run_monte_carlo(replace(config, executor="batch"))
         assert scalar.unavailability > 0.0
         assert batch.unavailability > 0.0
         assert _intervals_overlap(scalar, batch)
@@ -134,7 +136,7 @@ class TestScalarBatchAgreement:
             params=FAST_PARAMS, n_iterations=500, horizon_hours=50_000.0, seed=7,
         )
         assert run_monte_carlo(config).availability == pytest.approx(
-            run_monte_carlo(config.with_executor("batch")).availability, rel=0.0
+            run_monte_carlo(replace(config, executor="batch")).availability, rel=0.0
         )
 
 
@@ -200,8 +202,6 @@ class TestHotSparePolicy:
     def test_more_spares_do_not_hurt_under_slow_restock(self):
         # With slow restocking visits, a deeper pool must not lose
         # availability relative to single-spare fail-over (statistically).
-        from dataclasses import replace
-
         params = replace(
             paper_parameters(disk_failure_rate=2e-4, hep=0.02),
             spare_replacement_rate=0.005,
@@ -209,8 +209,8 @@ class TestHotSparePolicy:
         base = MonteCarloConfig(
             params=params, n_iterations=4000, horizon_hours=87_600.0, seed=13,
         )
-        failover = run_monte_carlo(base.with_policy(PolicyKind.AUTOMATIC_FAILOVER))
-        pooled = run_monte_carlo(base.with_policy(hot_spare_policy(3)))
+        failover = run_monte_carlo(replace(base, policy=PolicyKind.AUTOMATIC_FAILOVER))
+        pooled = run_monte_carlo(replace(base, policy=hot_spare_policy(3)))
         assert pooled.unavailability <= failover.unavailability * 1.25
 
 

@@ -11,6 +11,7 @@ untouched historical code path.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,10 +98,10 @@ class TestBiasingConfig:
         assert config.max_iterations == 5000
 
     def test_with_biasing_and_with_allocator_round_trip(self):
-        config = MonteCarloConfig().with_biasing(3.0).with_allocator("ci_width")
+        config = replace(MonteCarloConfig(), biasing=3.0, allocator="ci_width")
         assert config.biasing == 3.0
         assert config.allocator == "ci_width"
-        assert config.with_biasing(None).biasing is None
+        assert replace(config, biasing=None).biasing is None
 
     def test_biasing_requires_a_batch_kernel(self):
         # A scalar-only policy resolving executor="auto" to the scalar loop
@@ -271,9 +272,9 @@ class TestWeightedWorkerIdentity:
             biasing=BIASING,
             seed=11,
         )
-        reference = run_monte_carlo(base.with_workers(1))
+        reference = run_monte_carlo(replace(base, workers=1))
         for workers in (2, 4):
-            result = run_monte_carlo(base.with_workers(workers))
+            result = run_monte_carlo(replace(base, workers=workers))
             assert result.availability == reference.availability
             assert result.interval == reference.interval
             assert result.ess == reference.ess
@@ -292,7 +293,7 @@ class TestWeightedWorkerIdentity:
         reference = run_stacked_sharded(configs)
         for workers in (2,):
             results = run_stacked_sharded(
-                [config.with_workers(workers) for config in configs]
+                [replace(config, workers=workers) for config in configs]
             )
             for got, want in zip(results, reference):
                 assert got.availability == want.availability

@@ -15,7 +15,12 @@ from dataclasses import fields, replace
 import pytest
 
 from repro.core.evaluation import evaluate, evaluate_stacked
-from repro.core.montecarlo import MonteCarloConfig, run_digest, run_monte_carlo
+from repro.core.montecarlo import (
+    MonteCarloConfig,
+    estimate_availability,
+    run_digest,
+    run_monte_carlo,
+)
 from repro.core.montecarlo.config import (
     EXECUTION,
     OPTION_ALIASES,
@@ -30,6 +35,7 @@ from repro.core.policies.registry import resolve_policy
 from repro.core.sweep import sweep, sweep_grid
 from repro.exceptions import ConfigurationError
 from repro.experiments.cross_validation import run_cross_validation
+from repro.human.policy import PolicyKind
 from repro.simulation.rng import RandomStreams
 
 PARAMS = paper_parameters(disk_failure_rate=1e-4, hep=0.01)
@@ -63,7 +69,6 @@ SHARD_CONTENT_CHANGES = {
 EXECUTION_CHANGES = {
     "collect_trace": True,
     "workers": 3,
-    "transport": "pickle",
     "pool": "thread",
     "shard_timeout": 5.0,
     "max_shard_retries": 2,
@@ -212,7 +217,6 @@ _MC_KEYWORDS = {
     "workers": 1,
     "shard_size": None,
     "target_half_width": None,
-    "transport": "auto",
     "biasing": None,
     "allocator": "uniform",
     "kernel": "auto",
@@ -270,6 +274,16 @@ ENTRY_KEYWORDS = {
         "pool_kind": "process",
         "pool": None,
     },
+    "estimate_availability": {
+        "policy": PolicyKind.CONVENTIONAL,
+        "n_iterations": 20000,
+        "horizon_hours": 87600.0,
+        "seed": 0,
+        "confidence": 0.99,
+        "executor": "auto",
+        "workers": 1,
+        "target_half_width": None,
+    },
 }
 ENTRY_KEYWORDS["sweep_grid"] = ENTRY_KEYWORDS["sweep"]
 
@@ -279,6 +293,7 @@ ENTRY_POINTS = {
     "sweep": sweep,
     "sweep_grid": sweep_grid,
     "run_cross_validation": run_cross_validation,
+    "estimate_availability": estimate_availability,
 }
 
 #: Required positional arguments of each entry point.
@@ -288,6 +303,7 @@ ENTRY_ARGS = {
     "sweep": (PARAMS, "hep", [0.01]),
     "sweep_grid": (PARAMS, "hep", [0.01], "failure_rate", [1e-4]),
     "run_cross_validation": (),
+    "estimate_availability": (PARAMS,),
 }
 
 
@@ -321,6 +337,12 @@ class TestEntryPointKeywords:
     def test_misspelt_keyword_raises_type_error(self, entry):
         with pytest.raises(TypeError, match="shard_timout"):
             ENTRY_POINTS[entry](*ENTRY_ARGS[entry], shard_timout=1)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_KEYWORDS))
+    def test_removed_transport_keyword_raises_type_error(self, entry):
+        # The pool alone decides how a stacked grid's rows reach a shard.
+        with pytest.raises(TypeError, match="transport"):
+            ENTRY_POINTS[entry](*ENTRY_ARGS[entry], transport="pickle")
 
     def test_alias_and_field_name_conflict(self):
         with pytest.raises(TypeError, match="n_iterations"):

@@ -1,15 +1,23 @@
-"""Transport bit-identity, kernel-compaction equivalence and lifecycle tests.
+"""Row-transport bit-identity, kernel-compaction equivalence and pool tests.
 
-The zero-copy execution plane must be invisible in the results: shared-
-memory and pickle transports, any worker count, compacted and uncompacted
-kernels all have to produce byte-identical ``MonteCarloResult``s, because
-they feed the very same kernels the very same parameter rows and random
-streams.  This suite pins those guarantees, plus the operational ones —
-no leaked ``/dev/shm`` segments after failing sweeps, and the worker
-initializer (BLAS pinning) actually running in every pool worker.
+How a stacked grid's rows reach a shard must be invisible in the results:
+process-pool shards rebuild their rows from pickled scalars, in-process
+shards slice one materialised grid, and compacted and uncompacted kernels
+all have to produce byte-identical ``MonteCarloResult``s, because they feed
+the very same kernels the very same parameter rows and random streams.
+This suite pins those guarantees, plus the operational ones — a pooled
+grid leaves no helper process behind, no grid creates a shared-memory
+segment even when its kernel raises, and the worker initializer (BLAS
+pinning) actually runs in every pool worker.
 """
 
 from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,20 +28,13 @@ from repro.core.montecarlo import (
     run_stacked,
 )
 from repro.core.montecarlo.parallel import worker_pool, worker_probe
-from repro.core.montecarlo.transport import (
-    SharedGridPlanes,
-    active_segments,
-    attach_grid_slice,
-    attach_segment,
-    resolve_stacked_transport,
-    shared_memory_available,
-)
 from repro.core.montecarlo.simulator import simulate_conventional
+from repro.core.montecarlo.transport import resolve_stacked_transport
 from repro.core.parameters import paper_parameters
 from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.stacked import stack_parameter_points
 from repro.core.policies.vectorized import batch_conventional, batch_spare_pool
-from repro.exceptions import ConfigurationError, SimulationError
+from repro.exceptions import SimulationError
 from repro.simulation.rng import RandomStreams
 from repro.storage.raid import RaidGeometry
 
@@ -44,25 +45,55 @@ STRESS = dict(disk_failure_rate=1e-4, hep=0.02)
 
 BATCH_FIELDS = ("downtime_hours", "du_events", "dl_events", "disk_failures", "human_errors")
 
-pytestmark = pytest.mark.skipif(
-    not shared_memory_available(), reason="POSIX shared memory is not usable here"
-)
+
+def _conventional_points(n_points):
+    return [
+        paper_parameters(disk_failure_rate=1e-4, hep=float(hep))
+        for hep in np.linspace(0.0, 0.05, n_points)
+    ]
 
 
-def _grid_configs(n_points, workers, transport, seed=11, iterations=300, shard_size=128):
-    heps = np.linspace(0.0, 0.05, n_points)
+def _erasure_points():
+    return [
+        paper_parameters(geometry=RaidGeometry.erasure(k, n), disk_failure_rate=rate, hep=0.1)
+        for k, n, rate in ((2, 5, 2e-4), (4, 6, 1e-4))
+    ]
+
+
+#: Grids of the pickle-vs-view oracle: ``(policy, points, extra options)``.
+#: The erasure grid rebuilds its per-row scheme planes worker-side on the
+#: pickle path; the biased ``ci_width`` grid adds adaptive follow-up rounds.
+GRIDS = {
+    "scalar": ("conventional", _conventional_points(1), {}),
+    "stacked": ("conventional", _conventional_points(4), {}),
+    "erasure": ("erasure", _erasure_points(), {}),
+    "biased-ci_width": (
+        "conventional",
+        [paper_parameters(disk_failure_rate=rate, hep=0.02) for rate in (5e-5, 2e-4)],
+        dict(biasing=3.0, allocator="ci_width", target_half_width=1e-6, max_iterations=600),
+    ),
+}
+
+
+#: Lifetimes per grid point (the first round of the adaptive grid).
+ITERATIONS = 300
+
+
+def _grid_configs(grid, workers, pool="process"):
+    policy, points, extra = GRIDS[grid]
     return [
         MonteCarloConfig(
-            params=paper_parameters(disk_failure_rate=1e-4, hep=float(hep)),
-            policy="conventional",
-            n_iterations=iterations,
+            params=params,
+            policy=policy,
+            n_iterations=ITERATIONS,
             horizon_hours=HORIZON,
-            seed=seed,
+            seed=11,
             workers=workers,
-            shard_size=shard_size,
-            transport=transport,
+            pool=pool,
+            shard_size=128,
+            **extra,
         )
-        for hep in heps
+        for params in points
     ]
 
 
@@ -73,6 +104,7 @@ def _result_key(results):
             r.interval.half_width,
             r.interval.std_error,
             r.n_iterations,
+            r.ess,
             tuple(sorted(r.totals.items())),
         )
         for r in results
@@ -80,24 +112,30 @@ def _result_key(results):
 
 
 class TestTransportBitIdentity:
-    """shm and pickle transports must be byte-identical, any worker count."""
+    """Pickled rows and in-process views are byte-identical, any worker count."""
 
-    @pytest.mark.parametrize("n_points", [1, 4], ids=["scalar", "stacked"])
-    @pytest.mark.parametrize("crn", [False, True], ids=["plain", "crn"])
-    def test_shm_equals_pickle_across_worker_counts(self, n_points, crn):
-        reference = _result_key(
-            run_stacked(_grid_configs(n_points, 1, "pickle"), crn=crn)
-        )
+    def test_pool_decides_the_transport(self):
+        assert resolve_stacked_transport(pooled=True) == "pickle"
+        assert resolve_stacked_transport(pooled=False) == "view"
+
+    @pytest.mark.parametrize(
+        "grid,crn",
+        [(grid, crn) for grid in GRIDS for crn in (False, True)
+         # Adaptive rounds re-plan from merged widths; they refuse CRN.
+         if not (crn and "target_half_width" in GRIDS[grid][2])],
+        ids=lambda value: {False: "plain", True: "crn"}.get(value, value),
+    )
+    def test_pickle_equals_view_across_worker_counts(self, grid, crn):
+        reference = run_stacked(_grid_configs(grid, 1, pool="serial"), crn=crn)
+        if "target_half_width" in GRIDS[grid][2]:
+            assert sum(r.n_iterations for r in reference) > ITERATIONS * len(reference)
         for workers in (1, 2, 4):
-            for transport in ("pickle", "shm", "auto"):
-                results = run_stacked(
-                    _grid_configs(n_points, workers, transport), crn=crn
-                )
-                assert _result_key(results) == reference, (workers, transport)
+            results = run_stacked(_grid_configs(grid, workers), crn=crn)
+            assert _result_key(results) == _result_key(reference), workers
 
     def test_replay_matches_grid_run_on_every_transport(self):
-        for transport in ("pickle", "shm"):
-            configs = _grid_configs(3, 2, transport)
+        for pool in ("process", "serial"):
+            configs = _grid_configs("stacked", 2, pool=pool)
             grid = run_stacked(configs)
             for point in range(len(configs)):
                 replayed = replay_stacked_point(configs, point)
@@ -106,52 +144,60 @@ class TestTransportBitIdentity:
                 assert replayed.n_iterations == grid[point].n_iterations
 
     def test_unknown_transport_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MonteCarloConfig(transport="carrier-pigeon")
-        with pytest.raises(ConfigurationError):
-            resolve_stacked_transport("carrier-pigeon", pooled=True)
-
-    def test_mixed_transports_rejected_in_one_grid(self):
-        configs = _grid_configs(2, 1, "shm")
-        mixed = [configs[0], configs[1].with_transport("pickle")]
-        with pytest.raises(ConfigurationError, match="transport"):
-            run_stacked(mixed)
+        with pytest.raises(TypeError, match="transport"):
+            MonteCarloConfig(transport="pickle")
 
 
-class TestSharedPlanes:
-    """The segment layout and attach protocol round-trip exactly."""
+#: Runs one pooled stacked grid, then reports the ``multiprocessing``
+#: resource tracker's pipe and every child process still alive.
+_POOLED_GRID_SCRIPT = """
+import json, os
+from multiprocessing import resource_tracker
+from repro.core.montecarlo import MonteCarloConfig, run_stacked
+from repro.core.parameters import paper_parameters
 
-    def test_attach_views_round_trip(self):
-        points = [
-            paper_parameters(geometry=RaidGeometry.from_label("RAID5(3+1)"), **STRESS),
-            paper_parameters(geometry=RaidGeometry.from_label("RAID5(7+1)"), **STRESS),
-        ]
-        grid = stack_parameter_points(points, [5, 7], n_spares=[1, 3])
-        with SharedGridPlanes(grid) as planes:
-            segment = attach_segment(planes.spec.name)
-            try:
-                view = attach_grid_slice(planes.spec, segment.buf, 3, 9)
-                expected = grid.slice(3, 9)
-                assert np.array_equal(view.hep, expected.hep)
-                assert np.array_equal(view.n_disks_rows, expected.n_disks_rows)
-                assert np.array_equal(view.n_spares_rows, expected.n_spares_rows)
-                assert np.array_equal(view.disk_failure_rate, expected.disk_failure_rate)
-                # The planes are read-only on the worker side.
-                with pytest.raises((ValueError, RuntimeError)):
-                    view.hep[0] = 0.5
-                del view
-            finally:
-                segment.close()
+configs = [
+    MonteCarloConfig(
+        params=paper_parameters(disk_failure_rate=1e-4, hep=hep),
+        policy="conventional", n_iterations=200, seed=5,
+        workers=2, pool="process", shard_size=64, kernel="numpy",
+    )
+    for hep in (0.0, 0.02)
+]
+run_stacked(configs)
+children = []
+for entry in os.listdir("/proc"):
+    if entry.isdigit():
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == os.getpid():
+            children.append(int(entry))
+print(json.dumps({
+    "tracker_fd": resource_tracker._resource_tracker._fd,
+    "children": children,
+}))
+"""
 
-    def test_spec_rejects_bad_slices(self):
-        grid = stack_parameter_points([paper_parameters(**STRESS)], [4])
-        with SharedGridPlanes(grid) as planes:
-            segment = attach_segment(planes.spec.name)
-            try:
-                with pytest.raises(ConfigurationError):
-                    attach_grid_slice(planes.spec, segment.buf, 2, 9)
-            finally:
-                segment.close()
+
+class TestNoHelperProcess:
+    """A pooled grid starts no process that outlives the call."""
+
+    @pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs /proc to list children")
+    def test_pooled_grid_leaves_no_tracker_or_child(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOLED_GRID_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report["tracker_fd"] is None
+        assert report["children"] == []
 
 
 def _exploding_batch(params, horizon_hours, n_lifetimes, rng, **kwargs):
@@ -169,17 +215,15 @@ EXPLODING_POLICY = SimulationPolicy(
 
 
 class TestShmLifecycle:
-    """Segments are unlinked on every exit path, including worker failures."""
+    """No grid creates a shared-memory segment, on any exit path."""
 
-    def test_no_segments_leak_after_successful_sweep(self):
-        before = active_segments()
-        run_stacked(_grid_configs(3, 2, "shm"))
-        assert active_segments() == before
+    def test_no_segments_leak_after_successful_sweep(self, no_shared_memory):
+        for workers in (1, 2):
+            with no_shared_memory():
+                run_stacked(_grid_configs("stacked", workers))
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["in-process", "pooled"])
-    def test_no_segments_leak_after_failing_sweep(self, workers):
-        before = active_segments()
-        heps = (0.0, 0.01)
+    def test_no_segments_leak_after_failing_sweep(self, no_shared_memory, workers):
         configs = [
             MonteCarloConfig(
                 params=paper_parameters(disk_failure_rate=1e-4, hep=hep),
@@ -189,22 +233,12 @@ class TestShmLifecycle:
                 seed=3,
                 workers=workers,
                 shard_size=64,
-                transport="shm",
             )
-            for hep in heps
+            for hep in (0.0, 0.01)
         ]
-        with pytest.raises(SimulationError, match="intentional kernel failure"):
-            run_stacked(configs)
-        assert active_segments() == before
-
-    def test_planes_dispose_is_idempotent(self):
-        grid = stack_parameter_points([paper_parameters(**STRESS)], [4])
-        planes = SharedGridPlanes(grid)
-        name = planes.spec.name
-        assert name in active_segments()
-        planes.dispose()
-        planes.dispose()
-        assert name not in active_segments()
+        with no_shared_memory():
+            with pytest.raises(SimulationError, match="intentional kernel failure"):
+                run_stacked(configs)
 
 
 class TestWorkerInitializer:
