@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from repro.distributions.base import ArrayLike, Distribution
 from repro.exceptions import DistributionError
@@ -106,7 +106,9 @@ class Gamma(Distribution):
     def percentile(self, q: float, upper: float = 1e12, tol: float = 1e-9) -> float:
         if not 0.0 < q < 1.0:
             raise DistributionError(f"percentile requires 0 < q < 1, got {q!r}")
-        return float(stats.gamma.ppf(q, a=self._shape, scale=self._scale))
+        # What scipy.stats.gamma.ppf evaluates, bit for bit, without importing
+        # scipy.stats.
+        return float(special.gammaincinv(self._shape, q) * self._scale)
 
     def sample(self, size: int, rng: np.random.Generator) -> np.ndarray:
         return rng.gamma(shape=self._shape, scale=self._scale, size=size)

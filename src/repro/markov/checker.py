@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import linalg
 
 from repro.exceptions import SolverError, StateError
 from repro.markov.chain import MarkovChain
@@ -146,7 +145,9 @@ def cycle_operator(q: np.ndarray, period_hours: float):
     augmented = np.zeros((2 * n, 2 * n))
     augmented[:n, :n] = q
     augmented[:n, n:] = np.eye(n)
-    exp = linalg.expm(augmented * period)
+    from scipy.linalg import expm
+
+    exp = expm(augmented * period)
     return exp[:n, :n], exp[:n, n:]
 
 

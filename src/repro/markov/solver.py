@@ -29,8 +29,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as sparse_linalg
 
 from repro.exceptions import SolverError
 from repro.markov.chain import MarkovChain
@@ -141,6 +139,10 @@ def stationary_sparse_from_q(
     q: np.ndarray, residual_tol: float = _RESIDUAL_TOL, name: str = "generator"
 ) -> np.ndarray:
     """Sparse LU solve on ``Q``, suitable for chains with thousands of states."""
+    # Imported here: only chains at or above SPARSE_STATE_THRESHOLD get here.
+    from scipy import sparse
+    from scipy.sparse import linalg as sparse_linalg
+
     n = q.shape[0]
     a = sparse.lil_matrix(sparse.csr_matrix(q).T)
     a[n - 1, :] = 1.0

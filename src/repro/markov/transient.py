@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
-from scipy import linalg
 
 from repro.exceptions import SolverError
 from repro.markov.chain import MarkovChain
@@ -114,6 +113,8 @@ def transient_distribution_expm(
         raise SolverError("transient analysis requires at least one time point")
     if np.any(times_arr < 0.0):
         raise SolverError("transient analysis times must be non-negative")
+    from scipy.linalg import expm
+
     q = chain.generator_matrix()
     p0 = _initial_vector(chain, initial_state)
     rows = np.empty((times_arr.size, chain.n_states))
@@ -122,15 +123,15 @@ def transient_distribution_expm(
     if uniform_grid and not _is_uniform_grid(times_arr):
         raise SolverError("uniform_grid=True requires a uniformly spaced time grid")
     if uniform_grid:
-        transfer = linalg.expm(q * float(times_arr[1] - times_arr[0]))
-        vec = p0 if times_arr[0] == 0.0 else p0 @ linalg.expm(q * times_arr[0])
+        transfer = expm(q * float(times_arr[1] - times_arr[0]))
+        vec = p0 if times_arr[0] == 0.0 else p0 @ expm(q * times_arr[0])
         rows[0] = vec
         for k in range(1, times_arr.size):
             vec = vec @ transfer
             rows[k] = vec
     else:
         for k, t in enumerate(times_arr):
-            rows[k] = p0 @ linalg.expm(q * t)
+            rows[k] = p0 @ expm(q * t)
     rows = np.clip(rows, 0.0, 1.0)
     rows = rows / rows.sum(axis=1, keepdims=True)
     return TransientResult(times=times_arr, probabilities=rows, state_names=chain.state_names)

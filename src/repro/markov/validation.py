@@ -9,13 +9,21 @@ transcription errors early.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import MarkovChainError
 from repro.markov.chain import MarkovChain
+
+# networkx is optional and only ``to_networkx`` uses it.  It is still
+# imported here, when installed, because perfbench's
+# ``setup.import_networkx_s`` layer times it as part of ``import repro``;
+# it moves inside ``to_networkx`` when that layer is replaced (ROADMAP).
+try:
+    import networkx as nx
+except ImportError:
+    nx = None
 
 
 @dataclass
@@ -49,7 +57,13 @@ class ValidationReport:
 
 
 def to_networkx(chain: MarkovChain) -> "nx.DiGraph":
-    """Return the chain's directed graph (positive-rate edges only)."""
+    """Return the chain's directed graph (positive-rate edges only).
+
+    Needs the optional ``networkx`` package, which nothing else in
+    :mod:`repro` uses; raises ``ImportError`` naming it when it is missing.
+    """
+    if nx is None:
+        raise ImportError("to_networkx requires the optional 'networkx' package")
     graph = nx.DiGraph()
     for state in chain.states:
         graph.add_node(state.name, up=state.up)
@@ -62,16 +76,39 @@ def to_networkx(chain: MarkovChain) -> "nx.DiGraph":
     return graph
 
 
+def _successors(chain: MarkovChain, reverse: bool = False) -> Dict[str, List[str]]:
+    """Return each state's positive-rate neighbours (predecessors if ``reverse``)."""
+    out: Dict[str, List[str]] = {name: [] for name in chain.state_names}
+    for transition in chain.transitions:
+        if transition.rate > 0.0:
+            if reverse:
+                out[transition.target].append(transition.source)
+            else:
+                out[transition.source].append(transition.target)
+    return out
+
+
+def _reach(successors: Dict[str, List[str]], start: str) -> Set[str]:
+    """Return every state reachable from ``start``, ``start`` included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in successors[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
 def check_reachability(chain: MarkovChain, from_state: str = "") -> Tuple[Set[str], Set[str]]:
     """Return ``(reachable, unreachable)`` state-name sets.
 
     Reachability is computed from ``from_state`` (default: the first declared
     state, which by convention is the fully-operational state).
     """
-    graph = to_networkx(chain)
     start = from_state or chain.state_names[0]
     chain.index_of(start)
-    reachable = set(nx.descendants(graph, start)) | {start}
+    reachable = _reach(_successors(chain), start)
     unreachable = set(chain.state_names) - reachable
     return reachable, unreachable
 
@@ -86,11 +123,17 @@ def find_absorbing_states(chain: MarkovChain) -> List[str]:
 
 
 def is_irreducible(chain: MarkovChain) -> bool:
-    """Return whether the positive-rate graph is strongly connected."""
-    graph = to_networkx(chain)
-    if graph.number_of_nodes() <= 1:
-        return True
-    return nx.is_strongly_connected(graph)
+    """Return whether the positive-rate graph is strongly connected.
+
+    It is when the forward and the reverse search from the first state both
+    reach every state.
+    """
+    everything = set(chain.state_names)
+    return all(
+        _reach(_successors(chain, reverse), chain.state_names[0]) == everything
+        for reverse in (False, True)
+    )
+
 
 def generator_row_sums(chain: MarkovChain) -> np.ndarray:
     """Return the row sums of the generator matrix (should all be ~0)."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from repro.exceptions import SimulationError
 
@@ -239,7 +239,8 @@ def t_critical(confidence: float, n_samples: int) -> float:
     if n_samples < 2:
         raise SimulationError(f"at least two samples are required, got {n_samples!r}")
     alpha = 1.0 - confidence
-    return float(stats.t.ppf(1.0 - alpha / 2.0, df=n_samples - 1))
+    # What scipy.stats.t.ppf evaluates, bit for bit, without importing scipy.stats.
+    return float(special.stdtrit(n_samples - 1, 1.0 - alpha / 2.0))
 
 
 def confidence_interval(samples: Sequence[float], confidence: float = 0.99) -> ConfidenceInterval:
@@ -279,7 +280,8 @@ def required_samples(
         raise SimulationError(f"target half-width must be positive, got {target_half_width!r}")
     if sample_std == 0.0:
         return 2
-    z = float(stats.norm.ppf(0.5 + confidence / 2.0))
+    # scipy.stats.norm.ppf's kernel, bit for bit.
+    z = float(special.ndtri(0.5 + confidence / 2.0))
     n = max(int(math.ceil((z * sample_std / target_half_width) ** 2)), 2)
     if n > max_samples:
         raise SimulationError(

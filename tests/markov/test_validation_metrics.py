@@ -39,7 +39,7 @@ class TestValidation:
             [State("A"), State("B"), State("C", up=False)],
             [Transition("A", "B", 1.0), Transition("B", "A", 1.0), Transition("C", "A", 1.0)],
         )
-        with pytest.raises(MarkovChainError):
+        with pytest.raises(MarkovChainError, match=r"states unreachable from 'A': \['C'\]"):
             validate_chain(chain)
         report = validate_chain(chain, raise_on_error=False)
         assert not report.ok and any("unreachable" in e for e in report.errors)
@@ -71,7 +71,7 @@ class TestValidation:
         builder = ChainBuilder()
         builder.add_up_state("A").add_down_state("B")
         builder.add_transition("A", "B", 1.0)
-        with pytest.raises(MarkovChainError):
+        with pytest.raises(MarkovChainError, match=r"absorbing states present: \['B'\]"):
             builder.build(validate=True)
         chain = builder.build(validate=False)
         assert chain.n_states == 2
