@@ -7,10 +7,11 @@ Markov chains solve (which bounds the analytical sweeps).
 
 Since the policy-registry refactor the Monte Carlo runner has two execution
 paths — the scalar per-lifetime event loop (the seed implementation, kept as
-the traced/debug path) and the vectorised struct-of-arrays batch executor.
-The ``*_scalar`` / ``*_batch`` pairs below time both at identical iteration
-counts; the 10k-lifetime comparison is the acceptance benchmark for the
-batch kernel.
+the traced/debug path and run by policies without a batch kernel) and the
+vectorised struct-of-arrays batch executor.  The ``*_scalar`` / ``*_batch``
+pairs below time both at identical iteration counts, the scalar side on a
+batch-less copy of the policy; the 10k-lifetime comparison is the
+acceptance benchmark for the batch kernel.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.core.montecarlo import MonteCarloConfig, run_monte_carlo
 from repro.core.montecarlo.trace import generate_example_trace, summarise_trace
 from repro.core.parameters import paper_parameters
 from repro.human.policy import PolicyKind
+from tests.oracles import scalar_loop
 
 
 def _bench_config(policy, n_iterations: int, seed: int) -> MonteCarloConfig:
@@ -49,7 +51,7 @@ def test_monte_carlo_conventional_throughput(benchmark, bench_seed):
 
 def test_monte_carlo_conventional_scalar_throughput(benchmark, bench_seed):
     """Time the same 2000-lifetime study on the scalar (seed) path."""
-    config = replace(_bench_config(PolicyKind.CONVENTIONAL, 2000, bench_seed), executor="scalar")
+    config = _bench_config(scalar_loop(PolicyKind.CONVENTIONAL), 2000, bench_seed)
     result = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
     print()
     print(f"conventional MC (scalar): availability={result.availability:.10f}")
@@ -67,7 +69,7 @@ def test_monte_carlo_failover_throughput(benchmark, bench_seed):
 
 def test_monte_carlo_failover_scalar_throughput(benchmark, bench_seed):
     """Time the same 2000-lifetime fail-over study on the scalar path."""
-    config = replace(_bench_config(PolicyKind.AUTOMATIC_FAILOVER, 2000, bench_seed), executor="scalar")
+    config = _bench_config(scalar_loop(PolicyKind.AUTOMATIC_FAILOVER), 2000, bench_seed)
     result = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
     print()
     print(f"fail-over MC (scalar): availability={result.availability:.10f}")
@@ -88,12 +90,10 @@ def test_batch_beats_scalar_at_10k_iterations(benchmark, bench_seed):
     config = _bench_config(PolicyKind.CONVENTIONAL, 10_000, bench_seed)
 
     start = time.perf_counter()
-    scalar = run_monte_carlo(replace(config, executor="scalar"))
+    scalar = run_monte_carlo(replace(config, policy=scalar_loop(config.policy)))
     scalar_seconds = time.perf_counter() - start
 
-    batch = benchmark.pedantic(
-        run_monte_carlo, args=(replace(config, executor="batch"),), iterations=1, rounds=3
-    )
+    batch = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
     # Best-of-3 from the benchmark's own measurements; no extra run needed.
     batch_seconds = benchmark.stats.stats.min
 
@@ -119,7 +119,7 @@ def test_monte_carlo_sharded_2worker_throughput(benchmark, bench_seed):
     """
     config = replace(_bench_config(PolicyKind.CONVENTIONAL, 20_000, bench_seed), workers=2)
     result = benchmark.pedantic(run_monte_carlo, args=(config,), iterations=1, rounds=3)
-    batch = run_monte_carlo(replace(config, workers=1, executor="batch"))
+    batch = run_monte_carlo(replace(config, workers=1))
     print()
     print(f"sharded 2w MC: availability={result.availability:.10f} n={result.n_iterations}")
     assert batch.interval.contains(result.availability) or result.interval.contains(
@@ -169,7 +169,7 @@ def test_parallel_beats_single_process_batch(benchmark, bench_seed):
     single_timings = []
     for _ in range(3):
         start = time.perf_counter()
-        single = run_monte_carlo(replace(config, executor="batch"))
+        single = run_monte_carlo(config)
         single_timings.append(time.perf_counter() - start)
     single_seconds = min(single_timings)
 

@@ -16,8 +16,8 @@ Several acceptance criteria live here:
   stacked decomposition is worker-count independent, so the same benchmark
   asserts that ``workers=2`` results are bit-identical to ``workers=1``.
 * **Allocation-lean kernels** (PR 5): on the same 32 x 5k single-process
-  stacked grid, the compacted/arena kernel path must beat the retained
-  uncompacted oracle (``compact=False``) by at least **1.3x** while
+  stacked grid, the compacted/arena kernel path must beat the full-width
+  gathered oracle (``tests/oracles.py``) by at least **1.3x** while
   consuming the random stream identically (batches compared bitwise).
 * **Erasure checker-cycle grids** (PR 7): a 48-point share-failure-rate
   sweep of a 3-of-10 erasure scheme (monthly checker, repair below 7) at
@@ -95,9 +95,10 @@ from repro.core.parameters import paper_parameters
 from repro.core.policies import get_policy
 from repro.core.policies.stacked import stack_parameter_points
 from repro.core.policies.vectorized import batch_conventional
-from repro.core.sweep import sweep, sweep_per_point_rebuild
+from repro.core.sweep import sweep
 from repro.simulation.confidence import t_critical
 from repro.simulation.rng import RandomStreams
+from tests.oracles import batch_conventional_gathered, sweep_per_point_rebuild
 
 #: Sweep size of the headline comparison.
 N_POINTS = 1000
@@ -267,8 +268,8 @@ def _compaction_grid():
 
 def _run_kernel(grid, compact: bool):
     rng = RandomStreams(2017).stream("montecarlo")
-    batch = batch_conventional(grid, 87_600.0, len(grid), rng, compact=compact)
-    return batch, rng
+    kernel = batch_conventional if compact else batch_conventional_gathered
+    return kernel(grid, 87_600.0, len(grid), rng), rng
 
 
 def test_stacked_kernel_compaction_1_3x(bench_record):

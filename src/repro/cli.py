@@ -18,9 +18,9 @@ Eight subcommands cover the common workflows without writing any code:
     (``--backend analytical|monte_carlo|auto``).  Analytical sweeps reuse a
     parameterized chain template instead of rebuilding per point; Monte
     Carlo sweeps run as one stacked grid (per-lifetime parameter arrays,
-    one kernel invocation per shard) unless ``--mc-engine per_point``
-    requests the retained study-per-point loop.  ``--crn`` couples all
-    points to common random numbers for variance-reduced contrasts.
+    one kernel invocation per shard) whenever the policy's kernel can
+    stack.  ``--crn`` couples all points to common random numbers for
+    variance-reduced contrasts.
 ``crossval``
     Cross-backend validation: assert the analytical availability of every
     dual-face policy falls inside its Monte Carlo confidence interval
@@ -52,14 +52,12 @@ import numpy as np
 from repro.availability.metrics import downtime_minutes_per_year
 from repro.bench import load_history, render_history, render_latest_table
 from repro.core.comparison import compare_equal_capacity, ranking
-from repro.core.evaluation import analytical_policies, evaluate
+from repro.core.evaluation import _executor_provenance, analytical_policies, evaluate
 from repro.core.montecarlo import (
     ALLOCATORS,
-    EXECUTORS,
     KERNELS,
     POOLS,
     has_compiled_face,
-    resolve_kernel,
     run_monte_carlo,
 )
 from repro.core.montecarlo.config import config_from_options
@@ -72,7 +70,7 @@ from repro.core.policies import (
     hot_spare_policy,
     parse_scheme,
 )
-from repro.core.sweep import MC_ENGINES, SWEEP_AXES, SWEEP_BACKENDS, sweep, sweep_grid
+from repro.core.sweep import SWEEP_AXES, SWEEP_BACKENDS, sweep, sweep_grid
 from repro.exceptions import ConfigurationError, ReproError
 from repro.experiments.cross_validation import (
     all_within_ci,
@@ -312,12 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     mc.add_argument("--hep", type=float, default=0.001, help="human error probability")
     _add_monte_carlo_flags(mc)
     mc.add_argument(
-        "--executor",
-        choices=list(EXECUTORS),
-        default="auto",
-        help="batch (vectorised), scalar (traced/debug path), or auto",
-    )
-    mc.add_argument(
         "--shard-size",
         type=int,
         default=None,
@@ -419,14 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="human error probability (fixed unless it is the swept axis)",
     )
     _add_monte_carlo_flags(sweep_parser)
-    sweep_parser.add_argument(
-        "--mc-engine",
-        choices=list(MC_ENGINES),
-        default="auto",
-        help="monte_carlo backend execution: stacked (one kernel invocation "
-        "per shard covers the whole grid), per_point (retained "
-        "study-per-value loop), or auto",
-    )
     sweep_parser.add_argument(
         "--crn",
         action="store_true",
@@ -597,20 +581,12 @@ def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
     config = config_from_options(
         params=params,
         policy=policy,
-        executor=args.executor,
         shard_size=args.shard_size,
         **_mc_options(args),
     )
     result = run_monte_carlo(config)
     totals = result.totals
-    executor_label = config.executor
-    if config.uses_sharded_path:
-        workers = config.workers
-        pool_note = f", {config.pool} pool" if workers > 1 else ""
-        executor_label += (
-            f" (sharded, {workers} worker{'s' if workers != 1 else ''}{pool_note})"
-        )
-    executor_label += f", kernel={resolve_kernel(config.kernel)}"
+    executor = _executor_provenance(config).removeprefix("executor=")
     scheme_lines = []
     if policy.has_periodic_checks:
         resolved = policy.scheme.resolve(params)
@@ -626,7 +602,7 @@ def _run_mc(args: argparse.Namespace) -> Tuple[str, int]:
         f"disk failure rate:  {params.disk_failure_rate:g} /h",
         f"hep:                {params.hep:g}",
         f"iterations:         {result.n_iterations} x {args.horizon_years:g} years",
-        f"executor:           {executor_label}",
+        f"executor:           {executor}",
         f"seed entropy:       {result.seed_entropy}",
         f"availability:       {result.availability:.12f}",
         f"nines:              {result.nines:.3f}",
@@ -761,7 +737,6 @@ def _run_sweep(args: argparse.Namespace) -> Tuple[str, int]:
         _mc_options(args),
         policy=policy,
         backend=args.backend,
-        mc_engine=args.mc_engine,
         crn=args.crn,
     )
     policy_label = policy if isinstance(policy, str) else policy.name

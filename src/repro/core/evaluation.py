@@ -28,6 +28,7 @@ Usage::
 from __future__ import annotations
 
 import threading
+import warnings
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -57,6 +58,10 @@ from repro.markov.template import ChainTemplate
 #: Accepted evaluation backends.  ``"auto"`` prefers the analytical face
 #: when the policy has one and falls back to Monte Carlo otherwise.
 BACKENDS: Tuple[str, ...] = ("analytical", "monte_carlo", "auto")
+
+#: Set when the adaptive per-point fallback warning has fired, so a sweep
+#: over many points (or many sweeps in one process) warns exactly once.
+_ADAPTIVE_FALLBACK_WARNED = False
 
 
 @dataclass(frozen=True)
@@ -496,12 +501,12 @@ def resolve_backend(
 
 
 def check_mc_options_for_backend(
-    backend: str, config: MonteCarloConfig, *, mc_engine: str = "auto", crn: bool = False
+    backend: str, config: MonteCarloConfig, *, crn: bool = False
 ) -> None:
     """Reject Monte Carlo-only options once a call resolved analytically.
 
     ``backend="auto"`` picks the analytical face whenever the policy has
-    one; an explicit ``crn``, ``mc_engine``, ``biasing`` or journal request
+    one; an explicit ``crn``, ``biasing`` or journal request
     must not be dropped silently on that path (a caller asking for coupled
     streams, importance sampling or a resumable run would get plain point
     estimates without noticing).  Options that only size a run
@@ -511,7 +516,6 @@ def check_mc_options_for_backend(
         return
     refused = (
         (crn, "common random numbers"),
-        (mc_engine != "auto", f"mc_engine={mc_engine!r}"),
         (config.biasing is not None, "failure biasing"),
         (config.journal_path is not None, "a checkpoint/resume journal"),
     )
@@ -575,8 +579,12 @@ def stacked_estimates(
     """Run ``points`` as one stacked grid of ``config``.
 
     Policies without a stacked-capable kernel fall back to
-    :func:`per_point_estimates`, which cannot honour ``crn`` or a journal.
+    :func:`per_point_estimates`, which cannot honour ``crn`` or a journal;
+    an adaptive (``target_half_width``) fallback warns once per process,
+    since it pays one full study per point instead of the stacked
+    allocator's shared rounds.
     """
+    global _ADAPTIVE_FALLBACK_WARNED
     policy = resolve_policy(config.policy)
     if not policy.can_stack:
         if crn:
@@ -590,6 +598,15 @@ def stacked_estimates(
                 f"policy {policy.name!r} has no stacked-capable kernel; "
                 "a shard journal spans one stacked grid and cannot cover "
                 "the per-point fallback"
+            )
+        if config.target_half_width is not None and not _ADAPTIVE_FALLBACK_WARNED:
+            _ADAPTIVE_FALLBACK_WARNED = True
+            warnings.warn(
+                "adaptive sweep cannot use the stacked allocator (policy "
+                f"{policy.name!r} has no stacked-capable kernel); falling "
+                "back to the per-point adaptive loop",
+                RuntimeWarning,
+                stacklevel=4,
             )
         return per_point_estimates(points, config, pool)
     workers = int(config.workers)

@@ -33,7 +33,6 @@ from repro.core.montecarlo.config import (
     DEFAULT_ADAPTIVE_CEILING,
     DEFAULT_HORIZON_HOURS,
     DEFAULT_ITERATIONS,
-    EXECUTORS,
     POOLS,
     MonteCarloConfig,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "DEFAULT_SHARD_CAP",
     "DEFAULT_STACKED_SHARD_SIZE",
     "DEFAULT_ITERATIONS",
-    "EXECUTORS",
     "FAULT_KINDS",
     "FAULT_PLAN_ENV",
     "KERNELS",

@@ -253,8 +253,9 @@ def run_stacked(
 ) -> List[MonteCarloResult]:
     """Run one Monte Carlo study per config as a single stacked grid.
 
-    All configs must share policy, horizon, confidence, seed and executor;
-    their parameter points and iteration counts form the grid.  The
+    All configs must share policy, horizon, confidence, seed and every
+    other non per-point field; their parameter points and iteration counts
+    form the grid.  The
     flattened ``point x lifetime`` axis is cut into fixed-size shards whose
     stream families are spawned at the shard index (worker-count
     independent), so ``workers=N`` is bit-identical to ``workers=1`` and

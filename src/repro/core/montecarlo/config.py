@@ -17,10 +17,6 @@ DEFAULT_HORIZON_HOURS = 10 * 8760.0
 #: here is sized for interactive use and can be raised per experiment.
 DEFAULT_ITERATIONS = 20_000
 
-#: Accepted execution styles: ``"auto"`` picks the vectorised batch path
-#: whenever the policy has a kernel and no trace was requested.
-EXECUTORS = ("auto", "batch", "scalar")
-
 #: Accepted kernel backends: ``"auto"`` prefers the compiled (numba) row
 #: scans when importable and falls back to numpy with a one-time warning,
 #: ``"numpy"`` pins the pure-numpy kernels (the bit-identity oracle),
@@ -114,12 +110,9 @@ class MonteCarloConfig:
         Master seed for reproducibility; ``None`` draws a fresh seed.
     collect_trace:
         When ``True`` the first iteration records a Fig. 1 style event trace
-        (this forces the scalar execution path).
-    executor:
-        ``"auto"`` (batch whenever the policy has a vectorised kernel and no
-        trace is collected), ``"batch"`` or ``"scalar"``.  An explicit
-        ``"scalar"`` is part of a checkpoint journal's run digest: scalar
-        and batch shards draw different numbers.
+        (this forces the scalar execution path).  Without a trace the path
+        follows from the policy: its batch kernel when it has one, the
+        scalar loop otherwise.
     workers:
         Number of worker processes for the sharded executor.  ``1`` (the
         default) runs all shards in-process; ``> 1`` fans shards out over a
@@ -147,8 +140,8 @@ class MonteCarloConfig:
         log-likelihood-ratio weight, so estimates stay unbiased while
         rare-event scenarios resolve with orders of magnitude fewer
         lifetimes.  ``None`` (the default) runs the unbiased kernels on the
-        exact historical call path.  Requires a batch kernel (no scalar
-        executor, no event traces).
+        exact historical call path.  Requires a policy with a batch kernel
+        and no event trace.
     allocator:
         How adaptive (``target_half_width``) stacked runs split each next
         shard round across grid points: ``"uniform"`` gives every unmet
@@ -217,7 +210,6 @@ class MonteCarloConfig:
     confidence: float = _tagged(SHARD_CONTENT, 0.99)
     seed: Optional[int] = _tagged(SHARD_CONTENT, None)
     collect_trace: bool = _tagged(EXECUTION, False)
-    executor: str = _tagged(SHARD_CONTENT, "auto")
     workers: int = _tagged(EXECUTION, 1)
     shard_size: Optional[int] = _tagged(SHARD_CONTENT, None)
     target_half_width: Optional[float] = _tagged(SHARD_CONTENT, None)
@@ -242,10 +234,6 @@ class MonteCarloConfig:
         if not 0.0 < self.confidence < 1.0:
             raise ConfigurationError(
                 f"confidence must lie in (0, 1), got {self.confidence!r}"
-            )
-        if self.executor not in EXECUTORS:
-            raise ConfigurationError(
-                f"executor must be one of {EXECUTORS}, got {self.executor!r}"
             )
         if int(self.workers) < 1:
             raise ConfigurationError(f"workers must be at least 1, got {self.workers!r}")
@@ -279,26 +267,15 @@ class MonteCarloConfig:
             )
         if self.pool not in POOLS:
             raise ConfigurationError(f"pool must be one of {POOLS}, got {self.pool!r}")
-        if self.kernel in ("compiled", "fused"):
-            if self.executor == "scalar":
-                raise ConfigurationError(
-                    f"kernel={self.kernel!r} accelerates the vectorised batch "
-                    "kernels; it cannot be combined with executor='scalar'"
-                )
-            if self.collect_trace:
-                raise ConfigurationError(
-                    f"kernel={self.kernel!r} runs on the batch path and "
-                    "cannot collect an event trace"
-                )
+        if self.kernel in ("compiled", "fused") and self.collect_trace:
+            raise ConfigurationError(
+                f"kernel={self.kernel!r} runs on the batch path and "
+                "cannot collect an event trace"
+            )
         if self.biasing is not None:
             if not float(self.biasing) > 0.0:
                 raise ConfigurationError(
                     f"biasing factor must be positive, got {self.biasing!r}"
-                )
-            if self.executor == "scalar":
-                raise ConfigurationError(
-                    "failure biasing requires the vectorised batch kernels; "
-                    "it cannot be combined with executor='scalar'"
                 )
             if self.collect_trace:
                 raise ConfigurationError(

@@ -22,8 +22,9 @@ The first line is a header::
 ``digest`` is the SHA-256 of the canonical (sorted-key) JSON of everything
 that determines the run's numbers: policy name and redundancy scheme,
 parameter reprs, horizon, per-point lifetime counts, master entropy, shard
-size, CRN mode, resolved kernel, biasing, an explicit scalar executor,
-and the adaptive controls (target, ceilings, allocator, confidence): the
+size, CRN mode, resolved kernel, biasing, whether the policy runs the
+scalar loop (no batch kernel), and the adaptive controls (target,
+ceilings, allocator, confidence): the
 fields :class:`~repro.core.montecarlo.config.MonteCarloConfig` tags
 ``shard_content``.  Execution knobs that provably do **not** change
 results — worker count and pool kind — are excluded, so a journal
@@ -128,9 +129,10 @@ def run_digest(
     if scalar and shard_size is None:
         # Unpinned scalar decomposition derives from the worker count.
         key["workers"] = int(first.workers)
-    if first.executor == "scalar":
-        # Scalar shards draw other numbers than batch shards.  The key is
-        # only present on the scalar path, so batch digests stay unchanged.
+    if not policy.has_batch_kernel:
+        # Scalar-loop shards draw other numbers than batch shards.  The key
+        # is only present for batch-less policies, so batch digests stay
+        # unchanged.
         key["executor"] = "scalar"
     digest = hashlib.sha256(
         json.dumps(key, sort_keys=True).encode("utf-8")

@@ -171,7 +171,6 @@ def run_shard(
                 config.horizon_hours,
                 shard_size,
                 streams,
-                force_scalar=config.executor == "scalar",
                 biasing=config.biasing,
             )
     return ShardSummary(
@@ -911,11 +910,6 @@ def _validate_stacked(
             f"policy {policy.name!r} has no stacked-capable batch kernel; "
             "run the sweep point by point instead"
         )
-    if first.executor == "scalar":
-        raise ConfigurationError(
-            "the stacked engine is inherently vectorised; use the per-point "
-            "path for executor='scalar'"
-        )
     for config in configs:
         if resolve_policy(config.policy) != policy:
             raise ConfigurationError("stacked configs must share one policy")
@@ -1364,7 +1358,7 @@ def replay_stacked_point(
         for shard in plan_stacked_shards(counts, stacked_shard_size(first), crn=crn)
         if point in shard.point_indices
     ]
-    master_entropy = RandomStreams(first.seed).seed_entropy
+    master_entropy = _resolve_master_entropy(first)
     horizon = float(first.horizon_hours)
     # Replay always rebuilds the intersecting shards' rows from scalars
     # (the pickle path): it touches only those rows, instead of

@@ -7,19 +7,21 @@ described in the paper's Section III, where the interval width shrinks with
 the square root of the iteration count.
 
 The replacement policy is resolved by name through
-:mod:`repro.core.policies.registry`; execution happens on one of two paths:
+:mod:`repro.core.policies.registry`; execution happens on one of three
+paths:
 
 * the **sharded** path (whenever ``workers > 1``, ``shard_size`` or
   ``target_half_width`` is configured) splits the budget into per-worker
   shards and merges streaming summaries via
   :mod:`repro.core.montecarlo.parallel`,
-* the **batch** path (default whenever the policy ships a vectorised kernel
-  and no event trace was requested) runs all lifetimes as struct-of-arrays
-  numpy batches via :mod:`repro.core.montecarlo.batch`, and
+* the **batch** path (whenever the policy ships a vectorised kernel and no
+  event trace was requested) runs all lifetimes as struct-of-arrays numpy
+  batches via :mod:`repro.core.montecarlo.batch`, and
 * the **scalar** path walks one Python event loop per lifetime — slower,
   but able to record the paper's Fig. 1 style episode traces, which can be
   replayed on the discrete-event engine through
-  :mod:`repro.core.montecarlo.engine_bridge`.
+  :mod:`repro.core.montecarlo.engine_bridge`.  Policies without a batch
+  kernel run here too.
 """
 
 from __future__ import annotations
@@ -51,15 +53,12 @@ from repro.simulation.rng import RandomStreams
 
 
 def _use_batch_path(config: MonteCarloConfig) -> bool:
-    """Decide the execution path for ``config`` (see ``config.executor``)."""
-    if config.executor == "scalar":
-        return False
-    if config.executor == "batch":
-        return True
-    # "auto": vectorise when possible; traces only exist on the scalar path.
-    if config.collect_trace:
-        return False
-    return resolve_policy(config.policy).has_batch_kernel
+    """Return whether ``config`` runs on the batch path.
+
+    Traces only exist on the scalar path, and policies without a batch
+    kernel have nothing else.
+    """
+    return not config.collect_trace and resolve_policy(config.policy).has_batch_kernel
 
 
 def run_iterations(
@@ -91,8 +90,8 @@ def run_monte_carlo(config: MonteCarloConfig, pool=None) -> MonteCarloResult:
 
     Dispatches to the sharded parallel executor (``workers``,
     ``shard_size`` or ``target_half_width`` configured), the vectorised
-    batch executor, or the scalar loop according to the config
-    (``"auto"`` prefers the batch path).  ``pool`` optionally shares an
+    batch executor, or the scalar loop (event traces, policies without a
+    batch kernel).  ``pool`` optionally shares an
     externally owned executor across sharded studies (see
     :func:`repro.core.montecarlo.parallel.worker_pool`); it is ignored on
     the single-process paths.
@@ -108,20 +107,18 @@ def run_monte_carlo(config: MonteCarloConfig, pool=None) -> MonteCarloResult:
     if _use_batch_path(config):
         return run_batch(config)
     if config.biasing is not None:
-        # The config validator already rejects executor="scalar"; this
-        # catches the quieter case of executor="auto" resolving to the
-        # scalar loop because the policy has no batch kernel.
+        # The config validator already rejects biasing with a trace; this
+        # catches a policy without a batch kernel.
         raise ConfigurationError(
             "failure biasing requires the vectorised batch kernels; policy "
             f"{resolve_policy(config.policy).name!r} has no batch kernel and "
             "resolved to the scalar path"
         )
     if config.kernel in ("compiled", "fused"):
-        # Same shape as the biasing guard: explicit kernel="compiled" or
-        # "fused" with a policy that has no batch kernel resolved to the
-        # scalar loop, where neither compiled row searches nor fused event
-        # loops ever run.  kernel="auto" degrades to the scalar path
-        # silently instead.
+        # Same shape as the biasing guard: a policy without a batch kernel
+        # runs the scalar loop, where neither compiled row searches nor
+        # fused event loops ever run.  kernel="auto" degrades to the scalar
+        # path silently instead.
         raise ConfigurationError(
             f"kernel={config.kernel!r} accelerates the vectorised batch "
             f"kernels; policy {resolve_policy(config.policy).name!r} has no "

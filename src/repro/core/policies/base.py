@@ -368,20 +368,17 @@ class SimulationPolicy:
         horizon_hours: float,
         n_lifetimes: int,
         rng: np.random.Generator,
-        force_scalar: bool = False,
         biasing: Optional[float] = None,
     ) -> BatchLifetimes:
         """Simulate ``n_lifetimes`` lifetimes, vectorised when possible.
 
         Policies without a batch kernel fall back to a scalar loop so every
-        registered policy supports both execution styles; ``force_scalar``
-        requests that loop even when a kernel exists (the sharded executor
-        uses it to honour ``executor="scalar"`` configs).  ``biasing``
+        registered policy supports both execution styles.  ``biasing``
         requests the kernel's importance-sampled mode; it is forwarded only
         when set so unbiased runs hit the exact historical call and custom
         kernels without the keyword keep working.
         """
-        if self.batch is not None and not force_scalar:
+        if self.batch is not None:
             if biasing is not None:
                 return self.batch(params, horizon_hours, int(n_lifetimes), rng, biasing=biasing)
             return self.batch(params, horizon_hours, int(n_lifetimes), rng)
@@ -436,7 +433,6 @@ class SimulationPolicy:
         horizon_hours: float,
         n_lifetimes: int,
         streams: "RandomStreams",
-        force_scalar: bool = False,
         biasing: Optional[float] = None,
     ) -> BatchLifetimes:
         """Simulate one shard of a parallel run from its own stream family.
@@ -454,6 +450,5 @@ class SimulationPolicy:
             horizon_hours,
             int(n_lifetimes),
             rng,
-            force_scalar=force_scalar,
             biasing=biasing,
         )

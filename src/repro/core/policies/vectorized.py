@@ -36,17 +36,17 @@ The dispatch is duck-typed: row-aware distributions expose ``sample_rows``
 and stacked parameter objects expose ``n_disks_rows``/``n_spares_rows``;
 plain scalars take the exact pre-stacked code paths (identical draws).
 
-**Allocation discipline.**  By default (``compact=True``) both kernels keep
-a *physically compacted* working set: the clock matrix, episode clocks and
-bookkeeping arrays hold only the still-active lifetimes, shrinking whenever
-lifetimes reach the horizon, so late rounds touch only live rows instead of
+**Allocation discipline.**  Both clock-matrix kernels keep a *physically
+compacted* working set: the clock matrix, episode clocks and bookkeeping
+arrays hold only the still-active lifetimes, shrinking whenever lifetimes
+reach the horizon, so late rounds touch only live rows instead of
 gathering ``clocks[active]`` out of the full-width matrix every round.
 Per-round scratch (the masked matrix of the second-failure search, the
 compaction target) comes from a reusable :class:`_Arena` sized once to the
 shard.  Compaction only changes *where* state lives, never which rows are
 stepped or in which order they are sampled, so the random draw sequence —
-and therefore every result — is bit-identical to the retained uncompacted
-path (``compact=False``), which is kept as the bit-identity oracle and the
+and therefore every result — is bit-identical to the full-width gathered
+kernels kept in ``tests/oracles.py`` as the bit-identity oracle and the
 baseline of the ``stacked_kernel_compaction`` benchmark.
 """
 
@@ -631,7 +631,6 @@ def batch_conventional(
     horizon_hours: float,
     n_lifetimes: int,
     rng: np.random.Generator,
-    compact: bool = True,
     biasing: Optional[Union[float, np.ndarray]] = None,
 ) -> BatchLifetimes:
     """Run ``n_lifetimes`` conventional-policy lifetimes as one numpy batch.
@@ -640,12 +639,8 @@ def batch_conventional(
     :class:`~repro.core.policies.stacked.StackedParams` grid (one row per
     lifetime; ``n_lifetimes`` must then equal the grid length).
 
-    ``compact=True`` (the default) runs the allocation-lean path: live rows
-    are kept physically compacted and scratch comes from a per-invocation
-    :class:`_Arena`.  ``compact=False`` retains the original full-width
-    gather discipline; both paths consume the random stream identically and
-    return bit-identical batches (the equivalence is pinned by
-    ``tests/core/test_transport.py::TestCompactionEquivalence``).
+    Live rows are kept physically compacted and scratch comes from a
+    per-invocation :class:`_Arena` (see the module docstring).
 
     ``biasing`` (a factor > 0, scalar or per-lifetime array) switches the
     kernel to failure-biased importance sampling: failure rates are
@@ -656,95 +651,7 @@ def batch_conventional(
     if horizon_hours <= 0.0:
         raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
     m = _check_lifetimes(params, n_lifetimes)
-    if compact:
-        return _conventional_compacted(params, float(horizon_hours), m, rng, biasing)
-    return _conventional_gathered(params, float(horizon_hours), m, rng, biasing)
-
-
-def _conventional_gathered(
-    params, horizon_hours: float, m: int, rng: np.random.Generator, biasing=None
-) -> BatchLifetimes:
-    """The uncompacted conventional kernel (bit-identity oracle).
-
-    Tracks active lifetimes as indices into full-width state and gathers
-    ``clocks[active]`` every round — the pre-arena behaviour, retained as
-    the baseline the compacted path is benchmarked and verified against.
-    """
-    n = params.n_disks
-    n_disks = _per_row_or(params, "n_disks_rows", n)
-    failure_dist, log_weights = _biased_failure_dist(params, horizon_hours, m, biasing)
-    repair_dist = params.repair_distribution()
-    ddf_dist = params.ddf_recovery_distribution()
-    recovery_dist = params.human_error_recovery_distribution()
-    hep = params.hep
-    has_hep = _has_positive(hep)
-    crash_rate = params.crash_rate
-
-    batch = BatchLifetimes.zeros(m, horizon_hours)
-    batch.log_weights = log_weights
-    clocks = _initial_clocks(params, failure_dist, m, n, rng)
-    now = np.zeros(m, dtype=float)
-    active = np.arange(m)
-
-    while active.size:
-        c = clocks[active]
-        slot, fail = _min_and_slot(c)
-        fail = np.maximum(fail, now[active])
-        alive = fail < horizon_hours
-        active = active[alive]
-        if active.size == 0:
-            break
-        c, slot, fail = c[alive], slot[alive], fail[alive]
-        batch.disk_failures[active] += 1
-
-        repair_done = fail + _sample_rows(repair_dist, active, rng)
-        _, second = _min_excluding(c, slot)
-        second = np.maximum(second, fail)
-
-        # Double disk failure during the repair: data loss, backup restore.
-        dl = second < repair_done
-        dl_idx = active[dl]
-        if dl_idx.size:
-            batch.disk_failures[dl_idx] += 1
-            batch.dl_events[dl_idx] += 1
-            outage_end = second[dl] + _sample_rows(ddf_dist, dl_idx, rng)
-            batch.downtime_hours[dl_idx] += _clip_downtime(second[dl], outage_end, horizon_hours)
-            _renew_failed_before(clocks, dl_idx, outage_end, failure_dist, rng)
-            now[dl_idx] = outage_end
-
-        rest = ~dl
-        if has_hep:
-            he = rest & (rng.random(active.size) < _rows(hep, active))
-        else:
-            he = np.zeros(active.size, dtype=bool)
-
-        # Wrong disk replacement: data unavailable until the error is undone
-        # (or, when the pulled disk crashes, until the backup restore ends).
-        he_idx = active[he]
-        if he_idx.size:
-            batch.human_errors[he_idx] += 1
-            batch.du_events[he_idx] += 1
-            wrong = _pick_other_slots(rng, _rows(n_disks, he_idx), slot[he])
-            duration, crashed = _recovery_race(he_idx, recovery_dist, hep, crash_rate, rng)
-            outage_end = repair_done[he] + duration
-            cr = np.flatnonzero(crashed)
-            if cr.size:
-                batch.dl_events[he_idx[cr]] += 1
-                outage_end[cr] += _sample_rows(ddf_dist, he_idx[cr], rng)
-                _renew_slots(clocks, he_idx[cr], wrong[cr], outage_end[cr], failure_dist, rng)
-            batch.downtime_hours[he_idx] += _clip_downtime(repair_done[he], outage_end, horizon_hours)
-            _renew_slots(clocks, he_idx, slot[he], outage_end, failure_dist, rng)
-            _renew_failed_before(clocks, he_idx, outage_end, failure_dist, rng)
-            now[he_idx] = outage_end
-
-        # Successful replacement and rebuild.
-        ok = rest & ~he
-        ok_idx = active[ok]
-        if ok_idx.size:
-            _renew_slots(clocks, ok_idx, slot[ok], repair_done[ok], failure_dist, rng)
-            now[ok_idx] = repair_done[ok]
-
-    return batch
+    return _conventional_compacted(params, float(horizon_hours), m, rng, biasing)
 
 
 def _conventional_compacted(
@@ -755,8 +662,8 @@ def _conventional_compacted(
     State lives in a physically compacted working set: ``clocks``/``now``
     hold only live rows and ``rows`` maps each back to its global lifetime
     id (used for batch counters and row-aware sampling, so the draw
-    sequence matches :func:`_conventional_gathered` exactly).  Matrix-sized
-    scratch comes from the :class:`_Arena`.
+    sequence matches the full-width gathered oracle of ``tests/oracles.py``
+    exactly).  Matrix-sized scratch comes from the :class:`_Arena`.
     """
     n = params.n_disks
     n_disks = _per_row_or(params, "n_disks_rows", n)
@@ -884,11 +791,12 @@ class _SparePoolState:
 
     On the compacted path ``clocks``/``now``/``spares`` hold only live rows
     and ``rows`` maps local working-set indices to global lifetime ids; the
-    uncompacted path leaves ``rows``/``arena`` as ``None``, making local and
-    global indices coincide.  Sub-steps therefore index state arrays with
-    the indices they were handed and translate through :meth:`gids` for
-    batch counters, per-row parameters and row-aware sampling — the one
-    discipline that keeps both paths on the same random draw sequence.
+    full-width gathered oracle of ``tests/oracles.py`` leaves
+    ``rows``/``arena`` as ``None``, making local and global indices
+    coincide.  Sub-steps therefore index state arrays with the indices they
+    were handed and translate through :meth:`gids` for batch counters,
+    per-row parameters and row-aware sampling — the one discipline that
+    keeps both paths on the same random draw sequence.
     """
 
     params: object
@@ -951,7 +859,6 @@ def batch_spare_pool(
     n_lifetimes: int,
     rng: np.random.Generator,
     n_spares: int = 1,
-    compact: bool = True,
     biasing: Optional[Union[float, np.ndarray]] = None,
 ) -> BatchLifetimes:
     """Run ``n_lifetimes`` spare-pool lifetimes as one numpy batch.
@@ -961,11 +868,25 @@ def batch_spare_pool(
     per-row ``StackedParams.n_spares_rows`` (when present) overrides the
     scalar argument, so one invocation can mix pool sizes.
 
-    ``compact`` selects the allocation-lean working set exactly as in
-    :func:`batch_conventional`; both settings are bit-identical.
-    ``biasing`` enables failure-biased importance sampling exactly as in
-    :func:`batch_conventional`.
+    The working set is compacted and ``biasing`` enables failure-biased
+    importance sampling, both exactly as in :func:`batch_conventional`.
     """
+    state = _spare_pool_state(params, horizon_hours, n_lifetimes, rng, n_spares, biasing)
+    m = state.now.size
+    state.rows = np.arange(m)
+    state.arena = _Arena(m, params.n_disks)
+    return _spare_pool_compacted(state)
+
+
+def _spare_pool_state(
+    params,
+    horizon_hours: float,
+    n_lifetimes: int,
+    rng: np.random.Generator,
+    n_spares: int,
+    biasing: Optional[Union[float, np.ndarray]],
+) -> _SparePoolState:
+    """Validate a spare-pool invocation and build its full-width state."""
     if horizon_hours <= 0.0:
         raise SimulationError(f"horizon must be positive, got {horizon_hours!r}")
     m = _check_lifetimes(params, n_lifetimes)
@@ -1002,45 +923,7 @@ def batch_spare_pool(
         has_hep=_has_positive(params.hep),
     )
     state.batch.log_weights = log_weights
-    if compact:
-        state.rows = np.arange(m)
-        state.arena = _Arena(m, n)
-        return _spare_pool_compacted(state)
-    return _spare_pool_gathered(state, m)
-
-
-def _spare_pool_gathered(state: _SparePoolState, m: int) -> BatchLifetimes:
-    """The uncompacted spare-pool round loop (bit-identity oracle)."""
-    active = np.arange(m)
-    while active.size:
-        c = state.clocks[active]
-        slot, fail = _min_and_slot(c)
-        fail = np.maximum(fail, state.now[active])
-        alive = fail < state.horizon
-        active = active[alive]
-        if active.size == 0:
-            break
-        c, slot, fail = c[alive], slot[alive], fail[alive]
-        state.batch.disk_failures[active] += 1
-
-        # Lifetimes entering the exposed service this round, from any branch.
-        exposed: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-        has_spare = state.spares[active] > 0
-        sp = np.flatnonzero(has_spare)
-        if sp.size:
-            _spare_rebuild_step(state, active[sp], slot[sp], fail[sp], c[sp], exposed)
-        ns = np.flatnonzero(~has_spare)
-        if ns.size:
-            exposed.append((active[ns], slot[ns], fail[ns]))
-
-        if exposed:
-            idx = np.concatenate([part[0] for part in exposed])
-            ex_slot = np.concatenate([part[1] for part in exposed])
-            ex_start = np.concatenate([part[2] for part in exposed])
-            _exposed_step(state, idx, ex_slot, ex_start)
-
-    return state.batch
+    return state
 
 
 def _spare_pool_compacted(state: _SparePoolState) -> BatchLifetimes:
@@ -1382,7 +1265,6 @@ def batch_erasure(
     n_lifetimes: int,
     rng: np.random.Generator,
     scheme: Optional[object] = None,
-    compact: bool = True,
     biasing: Optional[Union[float, np.ndarray]] = None,
 ) -> BatchLifetimes:
     """Run ``n_lifetimes`` erasure-coded k-of-N lifetimes as one numpy batch.
@@ -1406,10 +1288,9 @@ def batch_erasure(
 
     ``scheme`` is a :class:`~repro.core.policies.base.RedundancyScheme`
     (resolved against scalar points) or a ready ``ResolvedScheme``; stacked
-    grids read the per-row scheme planes instead.  ``compact`` is accepted
-    for kernel-signature uniformity and ignored — the working set is a few
-    flat arrays, there is no clock matrix to compact.  Failure biasing is
-    not supported (the aggregate-clock discipline has no per-share draws to
+    grids read the per-row scheme planes instead.  The working set is a
+    few flat arrays; there is no clock matrix to compact.  Failure biasing
+    is not supported (the aggregate-clock discipline has no per-share draws to
     tilt); pass ``biasing=None``.
 
     ``crash_rate`` and the ``mu_*`` repair rates are not read by this

@@ -12,22 +12,19 @@ registered policy on either evaluation backend:
   then re-factorizes (dense or sparse by state count).  No builder, chain
   or solver objects are reconstructed per point — see
   ``benchmarks/bench_sweep.py`` for the resulting speedup over the retired
-  per-point rebuild loop (kept as :func:`sweep_per_point_rebuild` for
-  reference and regression testing).
+  per-point rebuild loop (kept as a test oracle).
 * **monte_carlo** sweeps run on the **stacked-grid engine** by default:
   per-study scalars become per-lifetime broadcast arrays and one kernel
   invocation per shard simulates the whole ``points x lifetimes`` grid
   (:func:`repro.core.montecarlo.batch.run_stacked`), with per-point results
-  recovered by one segmented aggregation.  The pre-stacked loop — one full
-  independent study per point, sharing a single worker pool — is retained
-  as :func:`sweep_per_point_mc` for regression testing and for the
-  configurations the stacked engine does not cover (scalar executor, event
-  traces, policies without a stacked-capable kernel); ``sweep`` falls back
-  to it automatically (with a one-time warning when an adaptive sweep has
-  to leave the stacked allocator).  Adaptive (``target_half_width``)
-  sweeps run stacked too: the CI-width allocator dispatches each next
-  shard round to the points with the widest intervals (see
-  :mod:`repro.core.montecarlo.parallel`), optionally on the
+  recovered by one segmented aggregation.  Policies without a
+  stacked-capable kernel run one full independent study per point instead,
+  sharing a single worker pool (with a one-time warning when an adaptive
+  sweep has to leave the stacked allocator); that choice is made by
+  :func:`repro.core.evaluation.stacked_estimates` alone.  Adaptive
+  (``target_half_width``) sweeps run stacked too: the CI-width allocator
+  dispatches each next shard round to the points with the widest
+  intervals (see :mod:`repro.core.montecarlo.parallel`), optionally on the
   importance-sampled kernels (``biasing``) for rare-event scenarios.
 
 :func:`sweep_grid` runs a full **2-axis surface** (e.g. the Fig. 5
@@ -46,7 +43,6 @@ works anywhere a policy is expected.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -55,20 +51,15 @@ from repro.core.evaluation import (
     analytical_result,
     chain_template,
     check_mc_options_for_backend,
-    per_point_estimates,
     resolve_backend,
     stacked_estimates,
 )
-from repro.core.montecarlo.config import (
-    MonteCarloConfig,
-    PolicyRef,
-    config_from_options,
-)
+from repro.core.montecarlo.config import PolicyRef, config_from_options
 from repro.core.parameters import AvailabilityParameters
 from repro.core.policies.base import SimulationPolicy
 from repro.core.policies.registry import resolve_policy
 from repro.exceptions import ConfigurationError
-from repro.markov.metrics import availability_from_up_mass, steady_state_availability
+from repro.markov.metrics import availability_from_up_mass
 
 #: Sweepable parameter axes: public alias -> AvailabilityParameters field.
 SWEEP_AXES: Dict[str, str] = {
@@ -85,36 +76,6 @@ SWEEP_AXES: Dict[str, str] = {
 
 #: Sweep backends: the evaluation backends of :mod:`repro.core.evaluation`.
 SWEEP_BACKENDS = BACKENDS
-
-#: Monte Carlo sweep engines: ``"auto"`` uses the stacked grid whenever the
-#: policy and configuration allow it and falls back to the per-point loop.
-MC_ENGINES = ("auto", "stacked", "per_point")
-
-#: Set when the adaptive per-point fallback warning has fired, so a sweep
-#: over many points (or many sweeps in one process) warns exactly once.
-_ADAPTIVE_FALLBACK_WARNED = False
-
-
-def _warn_adaptive_fallback(reason: str) -> None:
-    """Warn (once per process) that an adaptive sweep left the stacked path.
-
-    Adaptive sweeps normally run on the stacked engine's CI-width
-    allocator; configurations the allocator cannot serve (scalar executor,
-    policies without a stacked-capable kernel) silently used to raise —
-    now they fall back to the independent per-point adaptive loop, which
-    is correct but pays one full study per point.
-    """
-    global _ADAPTIVE_FALLBACK_WARNED
-    if _ADAPTIVE_FALLBACK_WARNED:
-        return
-    _ADAPTIVE_FALLBACK_WARNED = True
-    warnings.warn(
-        "adaptive sweep cannot use the stacked allocator "
-        f"({reason}); falling back to the per-point adaptive loop",
-        RuntimeWarning,
-        stacklevel=5,
-    )
-
 
 @dataclass(frozen=True)
 class SweepPoint:
@@ -252,65 +213,6 @@ def _point_from_estimate(estimate, x: float) -> SweepPoint:
     )
 
 
-def _monte_carlo_points(
-    point_params: Sequence[AvailabilityParameters],
-    xs: Sequence[float],
-    config: MonteCarloConfig,
-    *,
-    mc_engine: str,
-    crn: bool,
-    pool,
-) -> List[SweepPoint]:
-    """Evaluate arbitrary parameter points on the Monte Carlo backend."""
-    if mc_engine not in MC_ENGINES:
-        raise ConfigurationError(
-            f"mc_engine must be one of {MC_ENGINES}, got {mc_engine!r}"
-        )
-    policy = resolve_policy(config.policy)
-    stackable = policy.can_stack and config.executor != "scalar"
-    if mc_engine == "stacked" and not stackable:
-        raise ConfigurationError(
-            "the stacked engine requires a stacked-capable policy kernel and "
-            "a vectorised executor; use mc_engine='per_point' for this "
-            "configuration"
-        )
-    use_stacked = mc_engine == "stacked" or (mc_engine == "auto" and stackable)
-    if crn and not use_stacked:
-        # Never drop an explicit CRN request silently: a caller computing
-        # contrasts would get uncoupled streams and unreduced variance.
-        raise ConfigurationError(
-            "common random numbers are a stacked-engine mode, but this "
-            "configuration resolved to the per-point path (scalar executor, "
-            "mc_engine='per_point', or a policy without a stacked-capable "
-            "kernel)"
-        )
-    if config.target_half_width is not None and mc_engine == "auto" and not use_stacked:
-        # Adaptive sweeps prefer the stacked allocator; fall back (loudly,
-        # once) rather than refusing configurations it cannot serve.  An
-        # explicit mc_engine="per_point" is honoured silently.
-        reason = (
-            "scalar executor requested"
-            if config.executor == "scalar"
-            else f"policy {policy.name!r} has no stacked-capable kernel"
-        )
-        _warn_adaptive_fallback(reason)
-    if not use_stacked and config.journal_path is not None:
-        # A shard journal describes one stacked grid; the per-point loop
-        # runs many independent studies whose digests would collide in a
-        # single journal file.  Refuse rather than silently not checkpoint.
-        raise ConfigurationError(
-            "checkpoint/resume journals cover stacked sweeps only, but this "
-            "configuration resolved to the per-point path (scalar executor, "
-            "mc_engine='per_point', or a policy without a stacked-capable "
-            "kernel)"
-        )
-    if use_stacked:
-        estimates = stacked_estimates(point_params, config, crn=crn, pool=pool)
-    else:
-        estimates = per_point_estimates(point_params, config, pool)
-    return [_point_from_estimate(estimate, x) for estimate, x in zip(estimates, xs)]
-
-
 def _sweep_points(
     base_params: AvailabilityParameters,
     point_params: Sequence[AvailabilityParameters],
@@ -320,7 +222,6 @@ def _sweep_points(
     *,
     method: str,
     seed: Optional[int],
-    mc_engine: str,
     crn: bool,
     pool,
     options,
@@ -328,12 +229,11 @@ def _sweep_points(
     """Evaluate the points of a sweep or grid on the resolved backend."""
     backend, resolved = resolve_backend(backend, policy)
     config = config_from_options(params=base_params, policy=resolved, seed=seed, **options)
-    check_mc_options_for_backend(backend, config, mc_engine=mc_engine, crn=crn)
+    check_mc_options_for_backend(backend, config, crn=crn)
     if backend == "analytical":
         return _analytical_points(point_params, xs, resolved, method)
-    return _monte_carlo_points(
-        point_params, xs, config, mc_engine=mc_engine, crn=crn, pool=pool
-    )
+    estimates = stacked_estimates(point_params, config, crn=crn, pool=pool)
+    return [_point_from_estimate(estimate, x) for estimate, x in zip(estimates, xs)]
 
 
 def sweep(
@@ -345,7 +245,6 @@ def sweep(
     *,
     method: str = "auto",
     seed: Optional[int] = 0,
-    mc_engine: str = "auto",
     crn: bool = False,
     pool=None,
     **options,
@@ -371,14 +270,6 @@ def sweep(
     seed:
         Master seed of a Monte Carlo sweep; every point uses it, so
         neighbouring points share their random stream layout.
-    mc_engine:
-        ``"stacked"`` (one kernel invocation per shard covers the whole
-        grid), ``"per_point"`` (the retained pre-stacked loop, one full
-        study per value) or ``"auto"``: stacked whenever the policy kernel
-        and executor allow it.  Adaptive (``target_half_width``) sweeps run
-        on the stacked engine's CI-width allocator; configurations the
-        allocator cannot serve fall back to the per-point adaptive loop
-        with a one-time warning.
     crn:
         Stacked engine only — couple every point to identical base random
         streams (common random numbers) for variance-reduced contrasts
@@ -404,37 +295,9 @@ def sweep(
         backend,
         method=method,
         seed=seed,
-        mc_engine=mc_engine,
         crn=crn,
         pool=pool,
         options=options,
-    )
-
-
-def sweep_per_point_mc(
-    base_params: AvailabilityParameters,
-    axis: str,
-    values: Sequence[float],
-    policy: PolicyRef = "conventional",
-    **options,
-) -> List[SweepPoint]:
-    """Reference Monte Carlo sweep running one full study per point.
-
-    This is the pre-stacked algorithm — every value pays its own kernel
-    launches, shard scheduling and aggregation — retained as the ground
-    truth the stacked engine is statistically validated and benchmarked
-    against, and as the execution path for configurations the stacked
-    engine does not cover (scalar executor, policies without a
-    stacked-capable kernel).  ``options`` are those of :func:`sweep`.
-    """
-    return sweep(
-        base_params,
-        axis,
-        values,
-        policy=policy,
-        backend="monte_carlo",
-        mc_engine="per_point",
-        **options,
     )
 
 
@@ -495,7 +358,6 @@ def sweep_grid(
     *,
     method: str = "auto",
     seed: Optional[int] = 0,
-    mc_engine: str = "auto",
     crn: bool = False,
     pool=None,
     **options,
@@ -531,7 +393,6 @@ def sweep_grid(
         backend,
         method=method,
         seed=seed,
-        mc_engine=mc_engine,
         crn=crn,
         pool=pool,
         options=options,
@@ -545,48 +406,6 @@ def sweep_grid(
         values2=tuple(float(v) for v in values2),
         points=rows,
     )
-
-
-def sweep_per_point_rebuild(
-    base_params: AvailabilityParameters,
-    axis: str,
-    values: Sequence[float],
-    policy: PolicyRef = "conventional",
-    method: str = "dense",
-) -> List[SweepPoint]:
-    """Reference analytical sweep that rebuilds and re-solves per point.
-
-    This is the pre-template algorithm (one builder + chain + validation +
-    solver per point), retained as the ground truth the engine is benchmarked
-    and regression-tested against — `sweep(...)` must reproduce it to 1e-12.
-    """
-    if not values:
-        raise ConfigurationError(f"sweep over {axis!r} requires at least one value")
-    field = _axis_field(axis)
-    resolved = resolve_policy(policy)
-    if resolved.has_periodic_checks:
-        # A periodic-scheme decay chain is absorbing — there is no ergodic
-        # steady state to solve for.  The checker-cycle path already rebuilds
-        # per point, so it doubles as its own reference algorithm.
-        return _analytical_points(
-            [_with_axis(base_params, field, v) for v in values],
-            [float(v) for v in values],
-            resolved,
-            method,
-        )
-    points = []
-    for value in values:
-        params = _with_axis(base_params, field, value)
-        result = steady_state_availability(resolved.build_chain(params), method=method)
-        points.append(
-            SweepPoint(
-                x=float(value),
-                availability=result.availability,
-                unavailability=result.unavailability,
-                nines=result.nines,
-            )
-        )
-    return points
 
 
 # ----------------------------------------------------------------------

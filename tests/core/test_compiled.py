@@ -30,6 +30,7 @@ from repro.core.montecarlo import (
     resolve_kernel,
     run_batch,
     run_batch_lifetimes,
+    run_monte_carlo,
     run_sharded,
     run_stacked,
 )
@@ -50,6 +51,7 @@ from repro.core.policies.vectorized import (
 )
 from repro.exceptions import ConfigurationError
 from repro.storage.raid import RaidGeometry
+from tests.oracles import scalar_loop
 
 needs_numba = pytest.mark.skipif(
     not compiled_available(), reason="numba not installed (pip install .[compiled])"
@@ -144,9 +146,10 @@ class TestConfigSurface:
         with pytest.raises(ConfigurationError, match="pool"):
             _config(pool="greenlet")
 
-    def test_compiled_kernel_rejects_scalar_executor(self):
+    def test_compiled_kernel_rejects_scalar_loop_policy(self):
+        config = _config(kernel="compiled", policy=scalar_loop("conventional"))
         with pytest.raises(ConfigurationError, match="scalar"):
-            _config(kernel="compiled", executor="scalar")
+            run_monte_carlo(config)
 
     def test_compiled_kernel_rejects_trace_collection(self):
         with pytest.raises(ConfigurationError, match="trace"):

@@ -24,6 +24,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.cross_validation import run_cross_validation
 from repro.simulation.rng import RandomStreams
 from repro.storage.raid import RaidGeometry
+from tests.oracles import scalar_loop
 
 HORIZON = 87_600.0  # ten years, the paper's mission time
 
@@ -191,12 +192,11 @@ class TestErasureBothFaces:
         params = erasure_params(3, 10, rate=1e-3, hep=0.1)
         policy = erasure_policy(3, 10, repair_threshold=7)
         scalar = evaluate(
-            params, policy, backend="monte_carlo",
-            n_iterations=800, seed=11, executor="scalar",
+            params, scalar_loop(policy), backend="monte_carlo",
+            n_iterations=800, seed=11,
         )
         batch = evaluate(
-            params, policy, backend="monte_carlo",
-            n_iterations=800, seed=12, executor="batch",
+            params, policy, backend="monte_carlo", n_iterations=800, seed=12,
         )
         assert abs(scalar.availability - batch.availability) <= (
             scalar.half_width + batch.half_width

@@ -24,6 +24,7 @@ from repro.core.montecarlo import (
     ShardJournal,
     fault_plan,
     journal_entropy,
+    replay_stacked_point,
     run_digest,
     run_monte_carlo,
     run_stacked,
@@ -314,6 +315,18 @@ class TestInterruptAndResume:
         resumed = run_stacked(_stacked_configs(seed=None, resume=journal))
         assert all(point.seed_entropy == entropy for point in resumed)
         assert sum(point.resumed_shards for point in resumed) >= 1
+
+    def test_replay_of_unseeded_resumed_grid_matches_grid(self, tmp_path):
+        # A seed=None resume adopts the journal's entropy; replaying one of
+        # its points must adopt it too, not draw fresh entropy.
+        journal = str(tmp_path / "replay.journal")
+        run_stacked(_stacked_configs(seed=None, checkpoint=journal))
+        configs = _stacked_configs(seed=None, resume=journal)
+        grid = run_stacked(configs)
+        for index, point in enumerate(grid):
+            replayed = replay_stacked_point(configs, index)
+            assert replayed.seed_entropy == point.seed_entropy
+            _assert_bit_identical([replayed], [point])
 
 
 class TestJournalIntegrity:

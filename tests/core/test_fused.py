@@ -38,6 +38,7 @@ from repro.core.montecarlo import (
     run_batch,
     run_batch_lifetimes,
     run_fused_batch,
+    run_monte_carlo,
     run_sharded,
     run_stacked,
 )
@@ -50,6 +51,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.cross_validation import all_within_ci, run_cross_validation
 from repro.simulation.rng import RandomStreams
 from repro.storage.raid import RaidGeometry
+from tests.oracles import scalar_loop
 
 needs_no_numba = pytest.mark.skipif(
     compiled_available(), reason="numba is installed; fallback paths unreachable"
@@ -129,9 +131,9 @@ class TestFusedResolution:
             with kernel_context("fused"):
                 pass  # pragma: no cover - the context must not be entered
 
-    def test_fused_kernel_rejects_scalar_executor(self):
+    def test_fused_kernel_rejects_scalar_loop_policy(self):
         with pytest.raises(ConfigurationError, match="scalar"):
-            _config(executor="scalar")
+            run_monte_carlo(_config(policy=scalar_loop("conventional")))
 
     def test_fused_kernel_rejects_trace_collection(self):
         with pytest.raises(ConfigurationError, match="trace"):

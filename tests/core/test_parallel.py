@@ -29,6 +29,7 @@ from repro.core.policies.base import BatchLifetimes
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.confidence import StreamingMoments
 from repro.simulation.rng import RandomStreams
+from tests.oracles import scalar_loop
 
 #: Exaggerated stress point where estimates separate quickly (as used by
 #: the existing runner tests): events are frequent enough that a few
@@ -198,8 +199,8 @@ class TestStatisticalConsistency:
         # the same scenario must have overlapping 99 % intervals.
         base = _config(policy=policy, n_iterations=1500, confidence=0.99)
         results = {
-            "scalar": run_monte_carlo(replace(base, executor="scalar")),
-            "batch": run_monte_carlo(replace(base, executor="batch")),
+            "scalar": run_monte_carlo(replace(base, policy=scalar_loop(policy))),
+            "batch": run_monte_carlo(base),
             "sharded-1w": run_monte_carlo(replace(base, workers=1, shard_size=500)),
             "sharded-2w": run_monte_carlo(replace(base, workers=2, shard_size=500)),
         }
@@ -211,12 +212,14 @@ class TestStatisticalConsistency:
                 assert low <= high, f"{a} and {b} intervals do not overlap"
 
     def test_sharded_scalar_executor_supported(self):
-        # executor="scalar" on the sharded path forces the per-lifetime
-        # loop inside each shard; the estimate must agree with the batch
-        # kernels at the 99 % level.
+        # A policy without a batch kernel runs the per-lifetime loop inside
+        # each shard; the estimate must agree with the batch kernels at the
+        # 99 % level.
         base = _config(n_iterations=800)
         scalar_sharded = run_monte_carlo(
-            replace(base, executor="scalar", workers=2, shard_size=400)
+            replace(
+                base, policy=scalar_loop("conventional"), workers=2, shard_size=400
+            )
         )
         batch_sharded = run_monte_carlo(replace(base, workers=2, shard_size=400))
         low = max(scalar_sharded.interval.lower, batch_sharded.interval.lower)
@@ -298,8 +301,9 @@ class TestAdaptiveStopping:
 class TestSeedEntropyReplay:
     def test_seed_entropy_recorded_on_all_paths(self):
         base = _config(n_iterations=200)
-        assert run_monte_carlo(replace(base, executor="batch")).seed_entropy == 13
-        assert run_monte_carlo(replace(base, executor="scalar")).seed_entropy == 13
+        assert run_monte_carlo(base).seed_entropy == 13
+        scalar = replace(base, policy=scalar_loop(base.policy))
+        assert run_monte_carlo(scalar).seed_entropy == 13
         assert run_monte_carlo(replace(base, workers=2)).seed_entropy == 13
 
     def test_unseeded_run_replayable_from_recorded_entropy(self):
@@ -334,12 +338,10 @@ class TestShardKernelEntry:
         direct = run_batch_lifetimes(config, streams=RandomStreams(13).spawn_child(0))
         assert np.array_equal(shard.availabilities(), direct.availabilities())
 
-    def test_force_scalar_falls_back_to_loop(self):
+    def test_batchless_policy_falls_back_to_loop(self):
         config = _config(n_iterations=50)
-        policy = get_policy("conventional")
+        policy = scalar_loop("conventional")
         family = RandomStreams(13).spawn_child(0)
-        batch = policy.simulate_shard(
-            config.params, config.horizon_hours, 50, family, force_scalar=True
-        )
+        batch = policy.simulate_shard(config.params, config.horizon_hours, 50, family)
         assert len(batch) == 50
         assert np.all(batch.availabilities() <= 1.0)

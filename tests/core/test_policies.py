@@ -28,6 +28,7 @@ from repro.core.policies import (
 )
 from repro.exceptions import ConfigurationError
 from repro.human.policy import PolicyKind
+from tests.oracles import scalar_loop
 
 
 def _intervals_overlap(a, b) -> bool:
@@ -81,24 +82,17 @@ class TestRegistry:
             resolve_policy(object())
 
 
-class TestConfigExecutor:
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MonteCarloConfig(executor="warp")
-
+class TestConfigPolicy:
     def test_policy_name_property(self):
         assert MonteCarloConfig(policy=PolicyKind.CONVENTIONAL).policy_name == "conventional"
         assert MonteCarloConfig(policy="hot_spare_pool").policy_name == "hot_spare_pool"
         assert MonteCarloConfig(policy=hot_spare_policy(3)).policy_name == "hot_spare_pool_k3"
 
-    def test_with_executor(self):
-        config = replace(MonteCarloConfig(), executor="scalar")
-        assert config.executor == "scalar"
-
 
 class TestScalarBatchAgreement:
-    """The two executors are different samplers of the same model: at a
-    fixed parameter set their 99% confidence intervals must overlap."""
+    """The scalar loop (a batch-less copy of the policy) and the batch
+    kernel are different samplers of the same model: at a fixed parameter
+    set their 99% confidence intervals must overlap."""
 
     @pytest.mark.parametrize(
         "policy", [PolicyKind.CONVENTIONAL, PolicyKind.AUTOMATIC_FAILOVER, "hot_spare_pool"]
@@ -111,8 +105,8 @@ class TestScalarBatchAgreement:
             horizon_hours=87_600.0,
             seed=42,
         )
-        scalar = run_monte_carlo(replace(config, executor="scalar"))
-        batch = run_monte_carlo(replace(config, executor="batch"))
+        scalar = run_monte_carlo(replace(config, policy=scalar_loop(policy)))
+        batch = run_monte_carlo(config)
         assert scalar.unavailability > 0.0
         assert batch.unavailability > 0.0
         assert _intervals_overlap(scalar, batch)
@@ -124,19 +118,19 @@ class TestScalarBatchAgreement:
     def test_batch_reproducible_with_seed(self):
         config = MonteCarloConfig(
             params=FAST_PARAMS, n_iterations=500, horizon_hours=50_000.0, seed=7,
-            executor="batch",
         )
         first = run_monte_carlo(config)
         second = run_monte_carlo(config)
         assert first.availability == second.availability
         assert first.totals == second.totals
 
-    def test_auto_executor_matches_batch(self):
+    def test_default_path_matches_batch(self):
+        # A policy with a batch kernel runs it whenever no trace is asked for.
         config = MonteCarloConfig(
             params=FAST_PARAMS, n_iterations=500, horizon_hours=50_000.0, seed=7,
         )
         assert run_monte_carlo(config).availability == pytest.approx(
-            run_monte_carlo(replace(config, executor="batch")).availability, rel=0.0
+            run_batch(config).availability, rel=0.0
         )
 
 
@@ -159,7 +153,7 @@ class TestBatchLifetimes:
         )
         config = MonteCarloConfig(
             params=FAST_PARAMS, policy=no_kernel, n_iterations=50,
-            horizon_hours=20_000.0, seed=3, executor="batch",
+            horizon_hours=20_000.0, seed=3,
         )
         result = run_batch(config)
         assert result.n_iterations == 50

@@ -10,6 +10,7 @@ untouched historical code path.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ import importlib
 # `repro.core` re-exports the sweep *function* under the same name as the
 # submodule, so a plain `import repro.core.sweep as ...` binds the function.
 sweep_module = importlib.import_module("repro.core.sweep")
+evaluation_module = importlib.import_module("repro.core.evaluation")
 from repro.core.evaluation import evaluate
 from repro.core.montecarlo import MonteCarloConfig, run_monte_carlo
 from repro.core.montecarlo.parallel import (
@@ -33,6 +35,11 @@ from repro.core.policies.base import SimulationPolicy
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.confidence import StreamingMoments, segmented_moments
 from repro.simulation.rng import RandomStreams
+from tests.oracles import (
+    batch_conventional_gathered,
+    batch_spare_pool_gathered,
+    scalar_loop,
+)
 
 #: The paper's dual-face policies: every one pairs a batch kernel with an
 #: analytical chain, so an importance-sampled estimate can be checked
@@ -73,10 +80,6 @@ class TestBiasingConfig:
             with pytest.raises(ConfigurationError):
                 MonteCarloConfig(biasing=bad)
 
-    def test_biasing_rejects_scalar_executor(self):
-        with pytest.raises(ConfigurationError, match="scalar"):
-            MonteCarloConfig(biasing=2.0, executor="scalar")
-
     def test_biasing_rejects_event_traces(self):
         with pytest.raises(ConfigurationError, match="trace"):
             MonteCarloConfig(biasing=2.0, collect_trace=True)
@@ -104,8 +107,8 @@ class TestBiasingConfig:
         assert replace(config, biasing=None).biasing is None
 
     def test_biasing_requires_a_batch_kernel(self):
-        # A scalar-only policy resolving executor="auto" to the scalar loop
-        # must refuse biasing rather than silently ignore it.
+        # A scalar-only policy runs the scalar loop, so it must refuse
+        # biasing rather than silently ignore it.
         scalar_only = SimulationPolicy(
             name="scalar_only",
             description="test stub without a batch kernel",
@@ -202,18 +205,28 @@ class TestBiasedKernels:
             plain.weighted_availabilities(), plain.availabilities()
         )
 
-    @pytest.mark.parametrize("policy_name", ["conventional", "hot_spare_pool"])
-    def test_compact_and_gathered_biased_paths_agree(self, policy_name):
-        policy = get_policy(policy_name)
+    @pytest.mark.parametrize(
+        "policy_name,oracle",
+        [
+            ("conventional", batch_conventional_gathered),
+            (
+                "hot_spare_pool",
+                functools.partial(
+                    batch_spare_pool_gathered,
+                    n_spares=get_policy("hot_spare_pool").n_spares,
+                ),
+            ),
+        ],
+        ids=["conventional", "hot_spare_pool"],
+    )
+    def test_compact_and_gathered_biased_paths_agree(self, policy_name, oracle):
         params = paper_parameters(**RARE)
 
-        def run(compact):
+        def run(kernel):
             rng = RandomStreams(3).stream("montecarlo")
-            return policy.batch(
-                params, HORIZON, 2000, rng, compact=compact, biasing=4.0
-            )
+            return kernel(params, HORIZON, 2000, rng, biasing=4.0)
 
-        compacted, gathered = run(True), run(False)
+        compacted, gathered = run(get_policy(policy_name).batch), run(oracle)
         np.testing.assert_array_equal(
             compacted.availabilities(), gathered.availabilities()
         )
@@ -397,9 +410,9 @@ class TestBiasedReplay:
 class TestAdaptiveSweepFallback:
     @pytest.fixture(autouse=True)
     def _reset_warn_flag(self):
-        sweep_module._ADAPTIVE_FALLBACK_WARNED = False
+        evaluation_module._ADAPTIVE_FALLBACK_WARNED = False
         yield
-        sweep_module._ADAPTIVE_FALLBACK_WARNED = False
+        evaluation_module._ADAPTIVE_FALLBACK_WARNED = False
 
     def test_scalar_adaptive_sweep_warns_once_and_still_runs(self):
         with warnings.catch_warnings(record=True) as caught:
@@ -412,7 +425,7 @@ class TestAdaptiveSweepFallback:
                 mc_iterations=500,
                 mc_horizon_hours=HORIZON,
                 seed=3,
-                executor="scalar",
+                policy=scalar_loop("conventional"),
                 target_half_width=5e-3,
             )
         fallback = [
@@ -420,22 +433,6 @@ class TestAdaptiveSweepFallback:
         ]
         assert len(fallback) == 1
         assert len(points) == 2 and all(p.has_interval for p in points)
-
-    def test_explicit_per_point_engine_stays_silent(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            sweep_module.sweep(
-                paper_parameters(**STRESS),
-                "hep",
-                [0.02],
-                backend="monte_carlo",
-                mc_iterations=500,
-                mc_horizon_hours=HORIZON,
-                seed=3,
-                mc_engine="per_point",
-                target_half_width=5e-3,
-            )
-        assert not [w for w in caught if "stacked allocator" in str(w.message)]
 
     def test_adaptive_stacked_sweep_uses_allocator(self):
         # A stackable adaptive sweep must run without warnings and meet the

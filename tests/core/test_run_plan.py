@@ -1,8 +1,8 @@
 """Tests for ``MonteCarloConfig`` as the one run plan of every entry point.
 
 Covers the field role tags (and the hand-written lists they check: the
-resume digest and the stacked-grid must-share validator), the scalar
-executor in the resume digest, the refusal of Monte Carlo-only options on
+resume digest and the stacked-grid must-share validator), the scalar loop
+of a batch-less policy in the resume digest, the refusal of Monte Carlo-only options on
 analytical calls, and the keyword surface of the public entry points, which
 take their Monte Carlo options as ``**options``.
 """
@@ -37,6 +37,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.cross_validation import run_cross_validation
 from repro.human.policy import PolicyKind
 from repro.simulation.rng import RandomStreams
+from tests.oracles import scalar_loop
 
 PARAMS = paper_parameters(disk_failure_rate=1e-4, hep=0.01)
 
@@ -59,7 +60,6 @@ SHARD_CONTENT_CHANGES = {
     "horizon_hours": 1000.0,
     "confidence": 0.95,
     "seed": 4,
-    "executor": "scalar",
     "shard_size": 50,
     "target_half_width": 2e-3,
     "biasing": 5.0,
@@ -86,6 +86,10 @@ PER_POINT_CHANGES = {
 #: journals must keep resuming, so these never change.
 BATCH_DIGEST = "e37137f64136cdf1196bb1e1c8d2182a7e53d986cb7c91823540e85cf57d2a90"
 STACKED_DIGEST = "f3f0834461980e4d81653dce8152e41d0c911044f3d9e938f1689e6d61dc074a"
+
+#: The digest an explicit scalar executor used to write for the batch
+#: digest's run; a batch-less copy of the policy now writes it.
+SCALAR_DIGEST = "32ca98c741c703f777dab60addb893d811f07bfb0f3a1ae696a5de210cb4465e"
 
 
 def _digest(configs, scalar=True):
@@ -150,13 +154,14 @@ class TestFieldTags:
 
 
 # ----------------------------------------------------------------------
-# Scalar executor in the resume digest
+# Scalar loop in the resume digest
 # ----------------------------------------------------------------------
 class TestExecutorDigest:
     def test_batch_digests_unchanged(self):
-        for executor in ("auto", "batch"):
-            config = replace(PLAIN, shard_size=100, executor=executor)
-            assert _digest([config]) == BATCH_DIGEST
+        config = replace(PLAIN, shard_size=100)
+        assert _digest([config]) == BATCH_DIGEST
+        scalar = replace(config, policy=scalar_loop(config.policy))
+        assert _digest([scalar]) == SCALAR_DIGEST
         grid = [
             replace(PLAIN, shard_size=100),
             replace(PLAIN, shard_size=100, params=PER_POINT_CHANGES["params"]),
@@ -166,11 +171,12 @@ class TestExecutorDigest:
     def test_scalar_journal_refuses_batch_resume(self, tmp_path):
         journal = str(tmp_path / "scalar.journal")
         base = replace(PLAIN, shard_size=100)
-        written = run_monte_carlo(replace(base, executor="scalar", checkpoint=journal))
+        scalar = replace(base, policy=scalar_loop(base.policy))
+        written = run_monte_carlo(replace(scalar, checkpoint=journal))
         assert written.n_iterations == 400
         with pytest.raises(ConfigurationError, match="different run"):
-            run_monte_carlo(replace(base, executor="batch", resume=journal))
-        resumed = run_monte_carlo(replace(base, executor="scalar", resume=journal))
+            run_monte_carlo(replace(base, resume=journal))
+        resumed = run_monte_carlo(replace(scalar, resume=journal))
         assert resumed.resumed_shards == 4
         assert resumed.availability == written.availability
 
@@ -238,7 +244,6 @@ ENTRY_KEYWORDS = {
         "method": "auto",
         "n_iterations": 20000,
         "horizon_hours": 87600.0,
-        "executor": "auto",
         "max_iterations": None,
         **_MC_KEYWORDS,
     },
@@ -256,9 +261,7 @@ ENTRY_KEYWORDS = {
         "method": "auto",
         "mc_iterations": 20000,
         "mc_horizon_hours": 87600.0,
-        "executor": "auto",
         "mc_max_iterations": None,
-        "mc_engine": "auto",
         "crn": False,
         **_MC_KEYWORDS,
     },
@@ -280,7 +283,6 @@ ENTRY_KEYWORDS = {
         "horizon_hours": 87600.0,
         "seed": 0,
         "confidence": 0.99,
-        "executor": "auto",
         "workers": 1,
         "target_half_width": None,
     },
@@ -338,11 +340,18 @@ class TestEntryPointKeywords:
         with pytest.raises(TypeError, match="shard_timout"):
             ENTRY_POINTS[entry](*ENTRY_ARGS[entry], shard_timout=1)
 
-    @pytest.mark.parametrize("entry", sorted(ENTRY_KEYWORDS))
-    def test_removed_transport_keyword_raises_type_error(self, entry):
-        # The pool alone decides how a stacked grid's rows reach a shard.
-        with pytest.raises(TypeError, match="transport"):
-            ENTRY_POINTS[entry](*ENTRY_ARGS[entry], transport="pickle")
+    @pytest.mark.parametrize(
+        "entry,keyword",
+        [(entry, "transport") for entry in sorted(ENTRY_KEYWORDS)]
+        + [(entry, "executor") for entry in sorted(ENTRY_KEYWORDS)]
+        + [("sweep", "mc_engine"), ("sweep_grid", "mc_engine")],
+    )
+    def test_removed_transport_keyword_raises_type_error(self, entry, keyword):
+        # The pool alone decides how a stacked grid's rows reach a shard,
+        # and the policy alone decides the Monte Carlo path: removed
+        # selectors fail loudly instead of being ignored.
+        with pytest.raises(TypeError, match=keyword):
+            ENTRY_POINTS[entry](*ENTRY_ARGS[entry], **{keyword: "auto"})
 
     def test_alias_and_field_name_conflict(self):
         with pytest.raises(TypeError, match="n_iterations"):

@@ -29,10 +29,11 @@ from repro.core.policies import (
     stack_parameter_points,
 )
 from repro.core.policies.base import SimulationPolicy
-from repro.core.sweep import sweep, sweep_per_point_mc
+from repro.core.sweep import sweep
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.simulation.confidence import StreamingMoments, segmented_moments
 from repro.storage.raid import RaidGeometry
+from tests.oracles import per_point
 
 #: Exaggerated stress point where estimates separate quickly.
 STRESS = dict(disk_failure_rate=1e-4, hep=0.05)
@@ -198,10 +199,6 @@ class TestStackedValidation:
                 crn=True,
             )
 
-    def test_scalar_executor_rejected(self):
-        with pytest.raises(ConfigurationError, match="vectorised"):
-            run_stacked(_configs([0.01], executor="scalar"))
-
     def test_policy_without_stacked_kernel_rejected(self):
         conventional = get_policy("conventional")
         unstacked = SimulationPolicy(
@@ -214,19 +211,11 @@ class TestStackedValidation:
         with pytest.raises(ConfigurationError, match="stacked-capable"):
             run_stacked(_configs([0.01], policy=unstacked))
 
-    def test_sweep_stacked_engine_rejects_unstackable_config(self):
-        with pytest.raises(ConfigurationError, match="stacked engine"):
-            sweep(
-                paper_parameters(**STRESS), "hep", [0.01, 0.02],
-                backend="monte_carlo", mc_engine="stacked",
-                executor="scalar", mc_iterations=400,
-            )
-
     def test_sweep_per_point_engine_rejects_crn(self):
         with pytest.raises(ConfigurationError, match="common random numbers"):
             sweep(
                 paper_parameters(**STRESS), "hep", [0.01, 0.02],
-                backend="monte_carlo", mc_engine="per_point", crn=True,
+                per_point("conventional"), backend="monte_carlo", crn=True,
                 mc_iterations=400,
             )
 
@@ -258,13 +247,11 @@ class TestStackedValidation:
 
     def test_mc_options_rejected_on_analytical_resolution(self):
         # backend="auto" resolves analytically for dual-face policies; an
-        # explicit CRN or engine request must error instead of being
-        # dropped (the user would get uncoupled point estimates silently).
+        # explicit CRN request must error instead of being dropped (the
+        # user would get uncoupled point estimates silently).
         base = paper_parameters(**STRESS)
         with pytest.raises(ConfigurationError, match="analytical backend"):
             sweep(base, "hep", [0.001, 0.01], crn=True)
-        with pytest.raises(ConfigurationError, match="analytical backend"):
-            sweep(base, "hep", [0.001, 0.01], mc_engine="stacked")
         from repro.core.sweep import sweep_grid
 
         with pytest.raises(ConfigurationError, match="analytical backend"):
@@ -334,17 +321,19 @@ class TestStatisticalEquivalence:
 
     def test_sweep_routes_monte_carlo_through_stacked_engine(self):
         # Identical sweeps through the public API: the stacked default and
-        # the retained per-point path agree within merged CIs per point.
+        # the per-point path of a policy that cannot stack agree within
+        # merged CIs per point.
         base = paper_parameters(**STRESS)
         stacked = sweep(
             base, "hep", [0.0, 0.05], backend="monte_carlo",
             mc_iterations=1500, mc_horizon_hours=HORIZON, seed=29,
         )
-        per_point = sweep_per_point_mc(
-            base, "hep", [0.0, 0.05],
+        unstacked = sweep(
+            base, "hep", [0.0, 0.05], per_point("conventional"),
+            backend="monte_carlo",
             mc_iterations=1500, mc_horizon_hours=HORIZON, seed=29,
         )
-        for a, b in zip(stacked, per_point):
+        for a, b in zip(stacked, unstacked):
             assert a.has_interval and b.has_interval
             assert max(a.ci_lower, b.ci_lower) <= min(a.ci_upper, b.ci_upper)
 

@@ -11,10 +11,10 @@ from repro.core.sweep import (
     SWEEP_AXES,
     sweep,
     sweep_hep,
-    sweep_per_point_rebuild,
     sweep_policies,
 )
 from repro.exceptions import ConfigurationError
+from tests.oracles import per_point, sweep_per_point_rebuild
 
 #: Fig. 4's failure-rate grid (positive part) and Fig. 5's hep grid.
 FIG4_RATES = [float(r) for r in np.linspace(5e-7, 5.5e-6, 11)]
@@ -137,14 +137,14 @@ class TestSweepBehaviour:
         assert set(series) == {"conventional", "automatic_failover"}
 
     def test_per_point_mc_sweep_matches_single_study(self):
-        # The retained per-point engine keeps the pre-stacked guarantee: a
-        # one-point sweep is bitwise the same run as a single study.
+        # The per-point path of a policy that cannot stack keeps the
+        # pre-stacked guarantee: a one-point sweep is bitwise the same run
+        # as a single study.
         from repro.core.evaluation import evaluate
 
         points = sweep(
-            FAST_PARAMS, "hep", [0.05], "conventional",
+            FAST_PARAMS, "hep", [0.05], per_point("conventional"),
             backend="monte_carlo", mc_iterations=600, seed=9,
-            mc_engine="per_point",
         )
         single = evaluate(
             FAST_PARAMS.with_hep(0.05), "conventional", backend="monte_carlo",

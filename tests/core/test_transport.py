@@ -2,8 +2,8 @@
 
 How a stacked grid's rows reach a shard must be invisible in the results:
 process-pool shards rebuild their rows from pickled scalars, in-process
-shards slice one materialised grid, and compacted and uncompacted kernels
-all have to produce byte-identical ``MonteCarloResult``s, because they feed
+shards slice one materialised grid, and the compacted kernels and their
+gathered oracles (``tests/oracles.py``) all have to produce byte-identical ``MonteCarloResult``s, because they feed
 the very same kernels the very same parameter rows and random streams.
 This suite pins those guarantees, plus the operational ones — a pooled
 grid leaves no helper process behind, no grid creates a shared-memory
@@ -37,6 +37,7 @@ from repro.core.policies.vectorized import batch_conventional, batch_spare_pool
 from repro.exceptions import SimulationError
 from repro.simulation.rng import RandomStreams
 from repro.storage.raid import RaidGeometry
+from tests.oracles import batch_conventional_gathered, batch_spare_pool_gathered
 
 HORIZON = 87_600.0
 
@@ -256,14 +257,20 @@ class TestWorkerInitializer:
         assert all(seen.values()), f"initializer missing in workers: {seen}"
 
 
-class TestCompactionEquivalence:
-    """compact=True and compact=False are the same random experiment."""
+#: Each compacted kernel paired with its gathered oracle.
+CONVENTIONAL = (batch_conventional, batch_conventional_gathered)
+SPARE_POOL = (batch_spare_pool, batch_spare_pool_gathered)
 
-    def _assert_equivalent(self, kernel, params, n, **kwargs):
+
+class TestCompactionEquivalence:
+    """The compacted kernels and their gathered oracles are the same random experiment."""
+
+    def _assert_equivalent(self, kernels, params, n, **kwargs):
+        kernel, oracle = kernels
         rng_ref = RandomStreams(2017).stream("montecarlo")
-        reference = kernel(params, HORIZON, n, rng_ref, compact=False, **kwargs)
+        reference = oracle(params, HORIZON, n, rng_ref, **kwargs)
         rng_new = RandomStreams(2017).stream("montecarlo")
-        compacted = kernel(params, HORIZON, n, rng_new, compact=True, **kwargs)
+        compacted = kernel(params, HORIZON, n, rng_new, **kwargs)
         for field in BATCH_FIELDS:
             assert np.array_equal(
                 getattr(reference, field), getattr(compacted, field)
@@ -273,30 +280,30 @@ class TestCompactionEquivalence:
         assert rng_ref.bit_generator.state == rng_new.bit_generator.state
 
     @pytest.mark.parametrize(
-        "kernel,kwargs",
+        "kernels,kwargs",
         [
-            (batch_conventional, {}),
-            (batch_spare_pool, {"n_spares": 1}),
-            (batch_spare_pool, {"n_spares": 3}),
+            (CONVENTIONAL, {}),
+            (SPARE_POOL, {"n_spares": 1}),
+            (SPARE_POOL, {"n_spares": 3}),
         ],
         ids=["conventional", "failover", "pool3"],
     )
-    def test_scalar_params(self, kernel, kwargs):
+    def test_scalar_params(self, kernels, kwargs):
         params = paper_parameters(**STRESS)
-        self._assert_equivalent(kernel, params, 1500, **kwargs)
+        self._assert_equivalent(kernels, params, 1500, **kwargs)
 
     @pytest.mark.parametrize(
-        "kernel,kwargs",
-        [(batch_conventional, {}), (batch_spare_pool, {"n_spares": 2})],
+        "kernels,kwargs",
+        [(CONVENTIONAL, {}), (SPARE_POOL, {"n_spares": 2})],
         ids=["conventional", "pool"],
     )
-    def test_stacked_grid(self, kernel, kwargs):
+    def test_stacked_grid(self, kernels, kwargs):
         points = [
             paper_parameters(disk_failure_rate=rate, hep=hep)
             for rate, hep in ((1e-4, 0.0), (5e-5, 0.02), (1e-5, 0.05))
         ]
         grid = stack_parameter_points(points, [500, 600, 400])
-        self._assert_equivalent(kernel, grid, len(grid), **kwargs)
+        self._assert_equivalent(kernels, grid, len(grid), **kwargs)
 
     def test_mixed_geometry_grid_with_per_row_pools(self):
         points = [
@@ -304,8 +311,8 @@ class TestCompactionEquivalence:
             paper_parameters(geometry=RaidGeometry.from_label("RAID5(7+1)"), **STRESS),
         ]
         grid = stack_parameter_points(points, [700, 500], n_spares=[1, 3])
-        self._assert_equivalent(batch_spare_pool, grid, len(grid))
-        self._assert_equivalent(batch_conventional, grid, len(grid))
+        self._assert_equivalent(SPARE_POOL, grid, len(grid))
+        self._assert_equivalent(CONVENTIONAL, grid, len(grid))
 
     def test_weibull_failure_clocks(self):
         points = [
@@ -313,4 +320,4 @@ class TestCompactionEquivalence:
             paper_parameters(disk_failure_rate=5e-5, hep=0.02, failure_shape=1.3),
         ]
         grid = stack_parameter_points(points, [400, 300])
-        self._assert_equivalent(batch_conventional, grid, len(grid))
+        self._assert_equivalent(CONVENTIONAL, grid, len(grid))

@@ -70,12 +70,26 @@ class TestMcCommand:
         out = capsys.readouterr().out
         assert "hot_spare_pool_k3" in out
 
-    def test_mc_scalar_executor(self, capsys):
+    @pytest.mark.parametrize(
+        "workers,label",
+        [(1, "batch kernel="), (2, "sharded(2 workers, process pool) kernel=")],
+    )
+    def test_mc_executor_line_names_the_path_that_ran(self, capsys, workers, label):
+        from repro.core.evaluation import evaluate
+        from repro.core.parameters import paper_parameters
+
         assert main([
-            "mc", "--executor", "scalar", "--failure-rate", "1e-4",
-            "--hep", "0.05", "--iterations", "200", "--seed", "1",
+            "mc", "--failure-rate", "1e-4", "--hep", "0.05",
+            "--iterations", "200", "--seed", "1", "--workers", str(workers),
         ]) == 0
-        assert "executor:           scalar" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        line = next(line for line in out.splitlines() if line.startswith("executor:"))
+        estimate = evaluate(
+            paper_parameters(disk_failure_rate=1e-4, hep=0.05),
+            backend="monte_carlo", n_iterations=200, seed=1, workers=workers,
+        )
+        assert line == "executor:           " + estimate.provenance.removeprefix("executor=")
+        assert label in line and "auto" not in line
 
     def test_mc_seed_entropy_printed(self, capsys):
         assert main([
@@ -99,7 +113,7 @@ class TestMcCommand:
             "--iterations", "600", "--seed", "1", "--workers", "2",
         ]) == 0
         out = capsys.readouterr().out
-        assert "(sharded, 2 workers, process pool)" in out
+        assert "executor:           sharded(2 workers, process pool)" in out
         assert "iterations:         600" in out
 
     def test_mc_adaptive_target_half_width(self, capsys):
@@ -109,7 +123,7 @@ class TestMcCommand:
             "--target-half-width", "2e-4", "--max-iterations", "5000",
         ]) == 0
         out = capsys.readouterr().out
-        assert "(sharded, 1 worker)" in out
+        assert "executor:           sharded(1 worker)" in out
 
     def test_mc_pinned_shard_size_worker_invariant(self, capsys):
         args = [
@@ -219,13 +233,21 @@ class TestSweepCommand:
         ]) == 0
         assert "ci_low" in capsys.readouterr().out
 
-    def test_per_point_engine_still_available(self, capsys):
-        assert main([
-            "sweep", "--axis", "hep", "--values", "0.05",
-            "--backend", "monte_carlo", "--failure-rate", "1e-4",
-            "--iterations", "400", "--seed", "1", "--mc-engine", "per_point",
-        ]) == 0
-        assert "ci_low" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mc", "--executor", "scalar"],
+            ["sweep", "--axis", "hep", "--values", "0.05", "--mc-engine", "per_point"],
+        ],
+        ids=["executor", "mc-engine"],
+    )
+    def test_removed_path_flags_rejected(self, capsys, argv):
+        # The policy picks the Monte Carlo path; the old selectors are
+        # unknown flags, not silently ignored ones.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_axis2_without_values2_is_clean_error(self, capsys):
         assert main([
